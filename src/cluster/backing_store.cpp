@@ -7,11 +7,12 @@ namespace cdn::cluster {
 
 double BackingStore::fetch(std::uint64_t id, std::uint64_t size) {
   const double ms = fetch_ms(id, size);
-  ++stats_.fetches;
-  stats_.bytes += size;
+  fetches_.fetch_add(1, std::memory_order_relaxed);
+  bytes_.fetch_add(size, std::memory_order_relaxed);
   // Quantize per fetch, then sum integers: the total is independent of
   // accumulation order and bitwise-stable across platforms.
-  stats_.total_us += static_cast<std::uint64_t>(std::llround(ms * 1000.0));
+  total_us_.fetch_add(static_cast<std::uint64_t>(std::llround(ms * 1000.0)),
+                      std::memory_order_relaxed);
   return ms;
 }
 

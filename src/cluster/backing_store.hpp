@@ -15,11 +15,15 @@
 // make totals depend on addition order, which the determinism lint
 // (float-accum) rejects.
 //
-// Stores are not thread-safe; ClusterCache serializes fetches under the
-// cluster mutex (origin fetches are rare by design — that is the point of
-// the cache in front).
+// fetch() is thread-safe: the three counters are relaxed atomics, each
+// updated with one fetch_add, so concurrent request threads account their
+// misses without a lock. A stats() read taken while fetches are in flight
+// may mix fields from different instants; once the callers are quiescent
+// it is exact. Derived stores must keep fetch_ms() pure (it is called
+// concurrently).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,18 +52,22 @@ class BackingStore {
   /// returns the modeled fetch latency in milliseconds.
   double fetch(std::uint64_t id, std::uint64_t size);
 
-  [[nodiscard]] const BackingStoreStats& stats() const noexcept {
-    return stats_;
+  [[nodiscard]] BackingStoreStats stats() const noexcept {
+    return {fetches_.load(std::memory_order_relaxed),
+            bytes_.load(std::memory_order_relaxed),
+            total_us_.load(std::memory_order_relaxed)};
   }
 
  protected:
-  /// Modeled latency of one fetch; pure (no side effects), called once per
-  /// fetch() with the same arguments.
+  /// Modeled latency of one fetch; pure (no side effects, safe to call
+  /// concurrently), called once per fetch() with the same arguments.
   [[nodiscard]] virtual double fetch_ms(std::uint64_t id,
                                         std::uint64_t size) const = 0;
 
  private:
-  BackingStoreStats stats_;
+  std::atomic<std::uint64_t> fetches_{0};
+  std::atomic<std::uint64_t> bytes_{0};
+  std::atomic<std::uint64_t> total_us_{0};
 };
 
 /// Origin fetch over the DC->origin hop: the paper's BTO path. Its byte

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/registry.hpp"
-#include "sim/queue_cache.hpp"
 #include "srv/sharded_cache.hpp"
 #include "util/rng.hpp"
 
@@ -23,10 +22,22 @@ HotKeyTracker::HotKeyTracker(std::uint32_t threshold, std::uint64_t window)
   }
 }
 
-std::uint32_t HotKeyTracker::observe_hashed(std::uint64_t id,
-                                            std::uint64_t h) {
-  if (observed_ == window_) roll_window();
-  ++observed_;
+std::uint32_t HotKeyTracker::observe_at_hashed(std::uint64_t seq,
+                                               std::uint64_t id,
+                                               std::uint64_t h) {
+  const std::uint64_t window = seq / window_;
+  if (window > window_index_) {
+    if (window == window_index_ + 1) {
+      prev_hot_ = std::move(cur_hot_);
+    } else {
+      // A whole window passed without a request here: its hot set, which
+      // the new window would inherit, was empty.
+      prev_hot_.clear();
+    }
+    cur_hot_ = FlatMap<std::uint64_t, std::uint8_t>{};
+    counts_.clear();  // keeps capacity: no rehash churn at window boundaries
+    window_index_ = window;
+  }
   bool inserted = false;
   std::uint32_t* count = counts_.upsert_hashed(id, h, &inserted);
   if (inserted) *count = 0;
@@ -42,18 +53,45 @@ std::uint32_t HotKeyTracker::observe_hashed(std::uint64_t id,
   return *count;
 }
 
-void HotKeyTracker::roll_window() {
-  prev_hot_ = std::move(cur_hot_);
-  cur_hot_ = FlatMap<std::uint64_t, std::uint8_t>{};
-  counts_.clear();  // keeps capacity: no rehash churn at window boundaries
-  observed_ = 0;
-}
-
 std::uint64_t HotKeyTracker::metadata_bytes() const noexcept {
   using CountMap = FlatMap<std::uint64_t, std::uint32_t>;
   using HotMap = FlatMap<std::uint64_t, std::uint8_t>;
   return counts_.capacity() * CountMap::kSlotBytes +
          (cur_hot_.capacity() + prev_hot_.capacity()) * HotMap::kSlotBytes;
+}
+
+// ---------------------------------------------------------------------------
+// StripedHotKeyTracker
+
+StripedHotKeyTracker::StripedHotKeyTracker(std::uint32_t threshold,
+                                           std::uint64_t window) {
+  stripes_.reserve(std::size_t{1} << kStripeBits);
+  for (std::size_t i = 0; i < (std::size_t{1} << kStripeBits); ++i) {
+    stripes_.push_back(std::make_unique<Stripe>(threshold, window));
+  }
+}
+
+StripedHotKeyTracker::Sample StripedHotKeyTracker::observe_hashed(
+    std::uint64_t seq, std::uint64_t id, std::uint64_t h) {
+  // Top bits pick the stripe; FlatMap probes from the low bits, so keys
+  // within a stripe still spread over its tables.
+  Stripe& stripe =
+      *stripes_[static_cast<std::size_t>(h >> (64 - kStripeBits))];
+  SpinMutexLock lk(stripe.mu);
+  Sample out;
+  out.count = stripe.tracker.observe_at_hashed(seq, id, h);
+  out.hot = stripe.tracker.hot_hashed(id, h, out.count);
+  return out;
+}
+
+std::uint64_t StripedHotKeyTracker::metadata_bytes() const {
+  std::uint64_t total = stripes_.capacity() * sizeof(std::unique_ptr<Stripe>);
+  for (const std::unique_ptr<Stripe>& ptr : stripes_) {
+    const Stripe& stripe = *ptr;
+    SpinMutexLock lk(stripe.mu);
+    total += sizeof(Stripe) + stripe.tracker.metadata_bytes();
+  }
+  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -107,22 +145,26 @@ ClusterCache::ClusterCache(
       latency_(config.latency),
       factory_(std::move(make_node_cache)),
       schedule_(config.schedule),
-      ring_(config.vnodes_per_node),
       tracker_(config.hot_threshold, config.hot_window),
       backing_(make_backing_store(config.backing, config.latency)) {
   validate_config(config);
   MutexLock lk(cluster_mu_);
+  auto first = std::make_unique<Routing>();
+  first->ring = HashRing(config.vnodes_per_node);
   slots_.reserve(config.nodes);
   for (std::size_t i = 0; i < config.nodes; ++i) {
-    const auto id = static_cast<std::uint32_t>(i);
-    NodeSlot slot;
-    slot.node = std::make_unique<tdc::Node>(
+    slots_.push_back(std::make_unique<NodeSlot>(
         "node" + std::to_string(i),
         factory_(srv::ShardedCache::shard_capacity(config.capacity_bytes,
                                                    config.nodes, i),
-                 i));
-    slots_.push_back(std::move(slot));
-    ring_.add_node(id);
+                 i)));
+    first->slots.push_back(slots_.back().get());
+    first->ring.add_node(static_cast<std::uint32_t>(i));
+  }
+  publish_locked(std::move(first));
+  if (!schedule_.empty()) {
+    next_event_at_.store(schedule_.front().at_request,
+                         std::memory_order_release);
   }
 }
 
@@ -154,74 +196,58 @@ bool ClusterCache::access(const Request& req) {
 
 bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
   assert(h == hash64(req.id));
-  tdc::Node* target = nullptr;
-  std::uint32_t target_id = 0;
-  tdc::Node* peers[kMaxReplicas] = {};
-  std::size_t peer_count = 0;
-  {
-    MutexLock lk(cluster_mu_);
-    apply_due_events_locked();
-    ++served_;
-    const std::uint32_t count = tracker_.observe_hashed(req.id, h);
-    const bool hot = tracker_.hot_hashed(req.id, h, count);
-    std::uint32_t owners[kMaxReplicas];
-    std::size_t k = 1;
-    if (hot && replicas_ > 1) {
-      k = ring_.owners_hashed(h, replicas_, owners);
-    } else {
-      owners[0] = ring_.owner_hashed(h);
-    }
-    // Load-forced spreading: successive requests to a hot key rotate over
-    // its k owners regardless of the replication knob (a flash crowd is
-    // spread for load, not as part of the experiment arm).
-    const std::size_t pick =
-        k > 1 ? static_cast<std::size_t>(count % k) : 0;
-    target_id = owners[pick];
-    target = slots_[target_id].node.get();
-    if (k > 1) {
-      ++hot_spread_requests_;
-      if (replicate_hot_) {
-        for (std::size_t i = 0; i < k; ++i) {
-          if (i == pick) continue;
-          peers[peer_count++] = slots_[owners[i]].node.get();
-        }
+  const std::uint64_t seq = served_.fetch_add(1, std::memory_order_relaxed);
+  if (seq >= next_event_at_.load(std::memory_order_acquire)) {
+    apply_due_events(seq);
+  }
+  const Routing& r = routing();
+  const StripedHotKeyTracker::Sample sample =
+      tracker_.observe_hashed(seq, req.id, h);
+  std::uint32_t owners[kMaxReplicas];
+  std::size_t k = 1;
+  if (sample.hot && replicas_ > 1) {
+    k = r.ring.owners_hashed(h, replicas_, owners);
+  } else {
+    owners[0] = r.ring.owner_hashed(h);
+  }
+  // Load-forced spreading: successive requests to a hot key rotate over
+  // its k owners regardless of the replication knob (a flash crowd is
+  // spread for load, not as part of the experiment arm).
+  const std::size_t pick =
+      k > 1 ? static_cast<std::size_t>(sample.count % k) : 0;
+  NodeSlot& target = *r.slots[owners[pick]];
+
+  const bool hit = target.node.access_hashed(req, h);
+  bool peer_fill = false;
+  if (!hit && k > 1 && replicate_hot_) {
+    // Cooperative peer fill: read-only probes (contains_hashed never
+    // mutates), so enabling the knob cannot change any hit/miss outcome —
+    // only where the miss bytes come from.
+    for (std::size_t i = 0; i < k && !peer_fill; ++i) {
+      if (i != pick) {
+        peer_fill = r.slots[owners[i]]->node.contains_hashed(req.id, h);
       }
     }
   }
 
-  // Node work outside the cluster lock: requests to different nodes only
-  // contend on the routing decision above.
-  const bool hit = target->access_hashed(req, h);
-  bool peer_fill = false;
-  if (!hit) {
-    // Cooperative peer fill: read-only probes (contains_hashed never
-    // mutates), so enabling the knob cannot change any hit/miss outcome —
-    // only where the miss bytes come from.
-    for (std::size_t i = 0; i < peer_count && !peer_fill; ++i) {
-      peer_fill = peers[i]->contains_hashed(req.id, h);
-    }
-  }
-
-  {
-    MutexLock lk(cluster_mu_);
-    NodeSlot& s = slots_[target_id];
-    ++s.requests;
-    s.bytes_total += req.size;
-    if (hit) {
-      ++s.hits;
-      s.bytes_hit += req.size;
-    } else if (peer_fill) {
-      ++s.peer_fills;
-      s.peer_fill_bytes += req.size;
-      const double ms = latency_.oc_to_dc_ms +
-                        static_cast<double>(req.size) / latency_.dc_bandwidth;
-      peer_time_us_ +=
-          static_cast<std::uint64_t>(std::llround(ms * 1000.0));
-    } else {
-      ++s.origin_fetches;
-      s.origin_bytes += req.size;
-      backing_->fetch(req.id, req.size);
-    }
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  target.requests.fetch_add(1, kRelaxed);
+  target.bytes_total.fetch_add(req.size, kRelaxed);
+  if (k > 1) target.hot_spread_requests.fetch_add(1, kRelaxed);
+  if (hit) {
+    target.hits.fetch_add(1, kRelaxed);
+    target.bytes_hit.fetch_add(req.size, kRelaxed);
+  } else if (peer_fill) {
+    target.peer_fills.fetch_add(1, kRelaxed);
+    target.peer_fill_bytes.fetch_add(req.size, kRelaxed);
+    const double ms = latency_.oc_to_dc_ms +
+                      static_cast<double>(req.size) / latency_.dc_bandwidth;
+    target.peer_time_us.fetch_add(
+        static_cast<std::uint64_t>(std::llround(ms * 1000.0)), kRelaxed);
+  } else {
+    target.origin_fetches.fetch_add(1, kRelaxed);
+    target.origin_bytes.fetch_add(req.size, kRelaxed);
+    backing_->fetch(req.id, req.size);
   }
   return hit;
 }
@@ -231,9 +257,8 @@ bool ClusterCache::contains(std::uint64_t id) const {
 }
 
 bool ClusterCache::contains_hashed(std::uint64_t id, std::uint64_t h) const {
-  MutexLock lk(cluster_mu_);
-  for (const NodeSlot& s : slots_) {
-    if (s.live && s.node->contains_hashed(id, h)) return true;
+  for (const NodeSlot* s : routing().slots) {
+    if (s != nullptr && s->node.contains_hashed(id, h)) return true;
   }
   return false;
 }
@@ -241,18 +266,27 @@ bool ClusterCache::contains_hashed(std::uint64_t id, std::uint64_t h) const {
 std::uint64_t ClusterCache::used_bytes() const {
   MutexLock lk(cluster_mu_);
   std::uint64_t total = 0;
-  for (const NodeSlot& s : slots_) {
-    if (s.live) total += s.node->snapshot().used_bytes;
+  for (const NodeSlot* s : routing().slots) {
+    if (s != nullptr) total += s->node.snapshot().used_bytes;
   }
   return total;
 }
 
 std::uint64_t ClusterCache::metadata_bytes() const {
   MutexLock lk(cluster_mu_);
-  std::uint64_t total = ring_.metadata_bytes() + tracker_.metadata_bytes() +
-                        schedule_.capacity() * sizeof(MembershipEvent);
-  for (const NodeSlot& s : slots_) {
-    if (s.live) total += s.node->snapshot().metadata_bytes;
+  // Routing state: every published snapshot (retired ones stay alive),
+  // the node slots and the striped tracker.
+  std::uint64_t total =
+      tracker_.metadata_bytes() +
+      schedule_.capacity() * sizeof(MembershipEvent) +
+      slots_.capacity() * sizeof(std::unique_ptr<NodeSlot>) +
+      slots_.size() * sizeof(NodeSlot) +
+      routings_.capacity() * sizeof(std::unique_ptr<const Routing>);
+  for (const std::unique_ptr<const Routing>& r : routings_) {
+    total += sizeof(Routing) + r->metadata_bytes();
+  }
+  for (const NodeSlot* s : routing().slots) {
+    if (s != nullptr) total += s->node.snapshot().metadata_bytes;
   }
   return total;
 }
@@ -273,15 +307,18 @@ std::size_t ClusterCache::node_count() const {
 }
 
 std::size_t ClusterCache::live_node_count() const {
-  MutexLock lk(cluster_mu_);
-  std::size_t live = 0;
-  for (const NodeSlot& s : slots_) live += s.live ? 1 : 0;
-  return live;
+  return routing().ring.node_count();
 }
 
-void ClusterCache::apply_due_events_locked() {
+void ClusterCache::publish_locked(std::unique_ptr<Routing> next) {
+  routings_.push_back(std::move(next));
+  routing_.store(routings_.back().get(), std::memory_order_release);
+}
+
+void ClusterCache::apply_due_events(std::uint64_t seq) {
+  MutexLock lk(cluster_mu_);
   while (next_event_ < schedule_.size() &&
-         schedule_[next_event_].at_request <= served_) {
+         schedule_[next_event_].at_request <= seq) {
     const MembershipEvent& ev = schedule_[next_event_++];
     if (ev.kind == MembershipEvent::Kind::kJoin) {
       join_locked();
@@ -289,75 +326,80 @@ void ClusterCache::apply_due_events_locked() {
       leave_locked(ev.node);
     }
   }
+  next_event_at_.store(next_event_ < schedule_.size()
+                           ? schedule_[next_event_].at_request
+                           : kNoEvent,
+                       std::memory_order_release);
 }
 
 std::uint32_t ClusterCache::join_locked() {
+  const Routing& cur = routing();
   const auto id = static_cast<std::uint32_t>(slots_.size());
-  NodeSlot slot;
-  slot.node = std::make_unique<tdc::Node>("node" + std::to_string(id),
-                                          factory_(initial_share_, id));
-  slots_.push_back(std::move(slot));
-  ring_.add_node(id);
+  slots_.push_back(std::make_unique<NodeSlot>("node" + std::to_string(id),
+                                              factory_(initial_share_, id)));
+  auto next = std::make_unique<Routing>(cur);
+  next->slots.push_back(slots_.back().get());
+  next->ring.add_node(id);
   // Pull phase: only residents whose owner changed to the joiner (the
   // ring-adjacent arcs its points claimed, expected 1/N of the key space)
-  // move; everything else keeps its placement.
-  for (std::uint32_t from = 0; from + 1 < slots_.size(); ++from) {
-    if (!slots_[from].live) continue;
-    transfer_locked(residents_of_locked(from), id,
+  // move; everything else keeps its placement. Requests keep routing on
+  // the current snapshot until the joiner is warm.
+  for (std::uint32_t from = 0; from < id; ++from) {
+    if (cur.slots[from] == nullptr) continue;
+    transfer_locked(residents_of_locked(from), *next, id,
                     /*restrict_to_new_owner=*/true);
   }
+  publish_locked(std::move(next));
   return id;
 }
 
 void ClusterCache::leave_locked(std::uint32_t node) {
-  if (node >= slots_.size() || !slots_[node].live) {
+  const Routing& cur = routing();
+  if (node >= cur.slots.size() || cur.slots[node] == nullptr) {
     throw std::invalid_argument("ClusterCache::leave: node is not live");
   }
-  std::size_t live = 0;
-  for (const NodeSlot& s : slots_) live += s.live ? 1 : 0;
-  if (live <= 1) {
+  if (cur.ring.node_count() <= 1) {
     throw std::invalid_argument(
         "ClusterCache::leave: cannot retire the last live node");
   }
-  // Drain the leaver's residents BEFORE retiring it from the ring would be
-  // wrong: ownership must be recomputed on the post-leave ring, so retire
-  // first, then transfer each resident to its new owner (the arc's
-  // clockwise successor). The retired slot keeps its Node alive — in-flight
-  // concurrent accesses may still hold its pointer — but it is excluded
-  // from the ring, routing, and live stats from here on.
+  // Ownership must be recomputed on the post-leave ring, so the drain
+  // targets the next snapshot, which no longer has the leaver. The
+  // retired slot keeps its Node alive — in-flight requests routed on an
+  // older snapshot may still use it — but it is out of routing and live
+  // stats once the next snapshot is published.
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> residents =
       residents_of_locked(node);
-  slots_[node].live = false;
-  ring_.remove_node(node);
-  transfer_locked(residents, /*only_new_owner=*/0,
+  auto next = std::make_unique<Routing>(cur);
+  next->slots[node] = nullptr;
+  next->ring.remove_node(node);
+  transfer_locked(residents, *next, /*only_new_owner=*/0,
                   /*restrict_to_new_owner=*/false);
+  publish_locked(std::move(next));
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 ClusterCache::residents_of_locked(std::uint32_t from) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  // Enumeration order is LRU -> MRU, so re-inserting in this order
-  // reproduces the source's recency order at the destination (the last
-  // transfer lands at MRU). Non-queue policies expose no enumeration and
-  // hand off cold (their objects re-fetch on first access).
-  slots_[from].node->with_cache([&out](Cache& c) {
-    if (const auto* qc = dynamic_cast<const QueueCache*>(&c)) {
-      qc->audit_queue().for_each_from_lru(
-          [&out](const LruQueue::Node& n) {
-            out.emplace_back(n.id, n.size);
-            return true;
-          });
-    }
+  // Eviction order (LRU -> MRU for queue policies), so re-inserting in
+  // this order reproduces the source's recency order at the destination
+  // (the last transfer lands at MRU). A policy that cannot enumerate its
+  // residents hands off cold (its objects re-fetch on first access).
+  slots_[from]->node.with_cache([&out](Cache& c) {
+    c.for_each_resident([&out](std::uint64_t id, std::uint64_t size) {
+      out.emplace_back(id, size);
+      return true;
+    });
   });
   return out;
 }
 
 void ClusterCache::transfer_locked(
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& objects,
-    std::uint32_t only_new_owner, bool restrict_to_new_owner) {
+    const Routing& to, std::uint32_t only_new_owner,
+    bool restrict_to_new_owner) {
   for (const auto& [id, size] : objects) {
     const std::uint64_t h = hash64(id);
-    const std::uint32_t owner = ring_.owner_hashed(h);
+    const std::uint32_t owner = to.ring.owner_hashed(h);
     if (restrict_to_new_owner && owner != only_new_owner) continue;
     // Warm transfer: the object enters the new owner through its policy's
     // normal admission path (so SCIP's advisor, LIP's LRU insertion etc.
@@ -366,33 +408,35 @@ void ClusterCache::transfer_locked(
     Request req;
     req.id = id;
     req.size = size;
-    tdc::Node* dest = slots_[owner].node.get();
-    dest->access_hashed(req, h);
-    NodeSlot& d = slots_[owner];
-    ++d.migrated_in_keys;
-    d.migrated_in_bytes += size;
+    NodeSlot& dest = *to.slots[owner];
+    dest.node.access_hashed(req, h);
+    ++dest.migrated_in_keys;
+    dest.migrated_in_bytes += size;
     ++migrated_keys_;
     migrated_bytes_ += size;
   }
 }
 
 std::vector<ClusterNodeStats> ClusterCache::node_stats() const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   MutexLock lk(cluster_mu_);
+  const Routing& cur = routing();
   std::vector<ClusterNodeStats> out;
   out.reserve(slots_.size());
-  for (const NodeSlot& s : slots_) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const NodeSlot& s = *slots_[i];
     ClusterNodeStats ns;
-    ns.name = s.node->name();
-    ns.live = s.live;
-    ns.shard = s.node->snapshot();
-    ns.shard.requests = s.requests;
-    ns.shard.hits = s.hits;
-    ns.shard.bytes_total = s.bytes_total;
-    ns.shard.bytes_hit = s.bytes_hit;
-    ns.peer_fills = s.peer_fills;
-    ns.peer_fill_bytes = s.peer_fill_bytes;
-    ns.origin_fetches = s.origin_fetches;
-    ns.origin_bytes = s.origin_bytes;
+    ns.name = s.node.name();
+    ns.live = cur.slots[i] != nullptr;
+    ns.shard = s.node.snapshot();
+    ns.shard.requests = s.requests.load(kRelaxed);
+    ns.shard.hits = s.hits.load(kRelaxed);
+    ns.shard.bytes_total = s.bytes_total.load(kRelaxed);
+    ns.shard.bytes_hit = s.bytes_hit.load(kRelaxed);
+    ns.peer_fills = s.peer_fills.load(kRelaxed);
+    ns.peer_fill_bytes = s.peer_fill_bytes.load(kRelaxed);
+    ns.origin_fetches = s.origin_fetches.load(kRelaxed);
+    ns.origin_bytes = s.origin_bytes.load(kRelaxed);
     ns.migrated_in_keys = s.migrated_in_keys;
     ns.migrated_in_bytes = s.migrated_in_bytes;
     out.push_back(std::move(ns));
@@ -401,57 +445,61 @@ std::vector<ClusterNodeStats> ClusterCache::node_stats() const {
 }
 
 ClusterTotals ClusterCache::totals() const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   MutexLock lk(cluster_mu_);
   ClusterTotals t;
-  for (const NodeSlot& s : slots_) {
-    t.requests += s.requests;
-    t.hits += s.hits;
-    t.bytes_total += s.bytes_total;
-    t.bytes_hit += s.bytes_hit;
-    t.peer_fills += s.peer_fills;
-    t.peer_fill_bytes += s.peer_fill_bytes;
-    t.origin_fetches += s.origin_fetches;
-    t.origin_bytes += s.origin_bytes;
+  for (const std::unique_ptr<NodeSlot>& s : slots_) {
+    t.requests += s->requests.load(kRelaxed);
+    t.hits += s->hits.load(kRelaxed);
+    t.bytes_total += s->bytes_total.load(kRelaxed);
+    t.bytes_hit += s->bytes_hit.load(kRelaxed);
+    t.peer_fills += s->peer_fills.load(kRelaxed);
+    t.peer_fill_bytes += s->peer_fill_bytes.load(kRelaxed);
+    t.peer_time_us += s->peer_time_us.load(kRelaxed);
+    t.origin_fetches += s->origin_fetches.load(kRelaxed);
+    t.origin_bytes += s->origin_bytes.load(kRelaxed);
+    t.hot_spread_requests += s->hot_spread_requests.load(kRelaxed);
   }
   t.origin_time_us = backing_->stats().total_us;
-  t.peer_time_us = peer_time_us_;
   t.migrated_keys = migrated_keys_;
   t.migrated_bytes = migrated_bytes_;
-  t.hot_spread_requests = hot_spread_requests_;
   return t;
 }
 
 BackingStoreStats ClusterCache::backing_stats() const {
-  MutexLock lk(cluster_mu_);
   return backing_->stats();
 }
 
 std::vector<std::uint32_t> ClusterCache::owners_of(std::uint64_t id) const {
-  MutexLock lk(cluster_mu_);
   std::uint32_t owners[kMaxReplicas];
-  const std::size_t k = ring_.owners_hashed(hash64(id), replicas_, owners);
+  const std::size_t k =
+      routing().ring.owners_hashed(hash64(id), replicas_, owners);
   return std::vector<std::uint32_t>(owners, owners + k);
 }
 
 bool ClusterCache::node_contains(std::uint32_t node, std::uint64_t id) const {
-  MutexLock lk(cluster_mu_);
-  if (node >= slots_.size()) return false;
-  return slots_[node].node->contains_hashed(id, hash64(id));
+  const NodeSlot* s = nullptr;
+  {
+    MutexLock lk(cluster_mu_);
+    if (node >= slots_.size()) return false;
+    s = slots_[node].get();
+  }
+  return s->node.contains_hashed(id, hash64(id));
 }
 
 void ClusterCache::with_node_cache(std::uint32_t node,
                                    const std::function<void(Cache&)>& fn) {
-  tdc::Node* n = nullptr;
+  NodeSlot* s = nullptr;
   {
     MutexLock lk(cluster_mu_);
     if (node >= slots_.size()) {
       throw std::invalid_argument("ClusterCache: no such node");
     }
-    n = slots_[node].node.get();
+    s = slots_[node].get();
   }
   // Outside cluster_mu_: fn may be O(residents) and only needs the node
-  // lock (Node pointers stay valid for the cluster's lifetime).
-  n->with_cache(fn);
+  // lock (slots stay valid for the cluster's lifetime).
+  s->node.with_cache(fn);
 }
 
 }  // namespace cdn::cluster

@@ -1,9 +1,14 @@
-// A cache node in the TDC cluster: a policy instance plus a mutex.
+// A cache node: a policy instance plus the lock that serializes it. Used by
+// the TDC chain (tdc::Cluster) and by every cluster::ClusterCache node.
 //
 // OC nodes are driven by exactly one worker thread each (requests are
-// sharded by user locality), so their locks are uncontended; DC nodes are
-// shared by all workers (objects are sharded across the DC layer by id),
-// so their locks serialize concurrent access to the same shard.
+// sharded by user locality), so their locks are uncontended; DC nodes and
+// cluster nodes are shared by all workers, so their locks serialize
+// concurrent access to the same node. A node critical section is one policy
+// call (about half a microsecond), shorter than a futex sleep/wake, so the
+// lock is a SpinMutex: a contended caller spins briefly before it parks.
+// The node takes no other lock while holding its own; callers may hold
+// the cluster membership lock (ClusterCache::cluster_mu_) when they enter.
 #pragma once
 
 #include <functional>
@@ -23,7 +28,7 @@ class Node {
 
   /// Thread-safe access. Returns true on hit.
   bool access(const Request& req) CDN_EXCLUDES(mu_) {
-    MutexLock lk(mu_);
+    SpinMutexLock lk(mu_);
     return cache_->access(req);
   }
 
@@ -32,7 +37,7 @@ class Node {
   /// every node it touches.
   bool access_hashed(const Request& req, std::uint64_t h)
       CDN_EXCLUDES(mu_) {
-    MutexLock lk(mu_);
+    SpinMutexLock lk(mu_);
     return cache_->access_hashed(req, h);
   }
 
@@ -40,7 +45,7 @@ class Node {
   /// (replication peer probes). Never changes policy state.
   [[nodiscard]] bool contains_hashed(std::uint64_t id, std::uint64_t h)
       const CDN_EXCLUDES(mu_) {
-    MutexLock lk(mu_);
+    SpinMutexLock lk(mu_);
     return cache_->contains_hashed(id, h);
   }
 
@@ -49,7 +54,7 @@ class Node {
   /// audits (enumerating residents, Inspector checks). Never used on a
   /// request path.
   void with_cache(const std::function<void(Cache&)>& fn) CDN_EXCLUDES(mu_) {
-    MutexLock lk(mu_);
+    SpinMutexLock lk(mu_);
     fn(*cache_);
   }
 
@@ -60,9 +65,9 @@ class Node {
   /// and used/capacity always come from a consistent point in time.
   /// Capacity is immutable after construction, but the policy object is
   /// not const-thread-safe in general, so even that read stays under the
-  /// (uncontended) lock rather than carving out an unchecked path.
+  /// lock rather than carving out an unchecked path.
   [[nodiscard]] srv::ShardStats snapshot() const CDN_EXCLUDES(mu_) {
-    MutexLock lk(mu_);
+    SpinMutexLock lk(mu_);
     srv::ShardStats s;
     s.capacity_bytes = cache_->capacity();
     s.used_bytes = cache_->used_bytes();
@@ -73,7 +78,7 @@ class Node {
  private:
   std::string name_;
   CachePtr cache_ CDN_PT_GUARDED_BY(mu_);
-  mutable Mutex mu_;
+  mutable SpinMutex mu_;
 };
 
 }  // namespace cdn::tdc

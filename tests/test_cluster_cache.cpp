@@ -5,8 +5,11 @@
 // replication-knob contract (peer fill only re-attributes miss bytes,
 // never changes a hit/miss outcome), replica-set consistency, join/leave
 // warm-transfer rebalancing with structural audits, deterministic
-// schedule-driven churn, the generic LoadGen drive path, and TSan-level
-// thread safety of concurrent access + snapshots.
+// schedule-driven churn, the generic LoadGen drive path, warm transfer
+// through Cache::for_each_resident (decorated and non-queue nodes), the
+// striped hot-key tracker's equivalence with one global tracker, and
+// TSan-level thread safety of concurrent access racing snapshots, routing
+// swaps and client-driven membership changes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -440,20 +443,37 @@ TEST(ClusterCache, LoadGenDrivesAClusterTarget) {
   expect_flow_conservation(cluster);
 }
 
+/// Generated small_spec(seed) traffic with every third request replaced by
+/// one of `hot_ids` round-robin keys, so a hot set crosses any small
+/// threshold in every window.
+Trace trace_with_hot_set(std::uint64_t seed, std::size_t hot_ids) {
+  Trace trace = generate_trace(small_spec(seed));
+  for (std::size_t i = 0; i < trace.requests.size(); i += 3) {
+    trace.requests[i].id = 900'000 + (i / 3) % hot_ids;
+    trace.requests[i].size = 2'000;
+  }
+  return trace;
+}
+
 TEST(ClusterCache, ConcurrentAccessAndSnapshotsAreRaceFree) {
   // TSan coverage: concurrent drivers on a churning cluster while a poller
-  // reads every snapshot surface. Counts (not hits) are deterministic
-  // under concurrency, so only conservation is asserted.
-  const Trace trace = generate_trace(small_spec(13));
+  // reads every snapshot surface. A join and then a leave swap the routing
+  // snapshot mid-stream; the hot set keeps replicas spread and peer probes
+  // running, so probes race the swaps and reach the retired node through
+  // older snapshots. Counts (not hits) are deterministic under
+  // concurrency, so only conservation is asserted.
+  const Trace trace = trace_with_hot_set(13, /*hot_ids=*/8);
   ClusterCacheConfig cfg;
   cfg.policy = "LRU";
   cfg.capacity_bytes = kCap;
   cfg.nodes = 4;
   cfg.replicas = 2;
+  cfg.replicate_hot = true;
   cfg.hot_threshold = 8;
   cfg.hot_window = 2048;
-  cfg.schedule = {{trace.requests.size() / 2,
-                   MembershipEvent::Kind::kJoin, 0}};
+  cfg.schedule = {
+      {trace.requests.size() / 2, MembershipEvent::Kind::kJoin, 0},
+      {trace.requests.size() * 3 / 4, MembershipEvent::Kind::kLeave, 1}};
   ClusterCache cluster(cfg);
 
   constexpr std::size_t kWorkers = 8;
@@ -464,9 +484,12 @@ TEST(ClusterCache, ConcurrentAccessAndSnapshotsAreRaceFree) {
       (void)cluster.totals();
       (void)cluster.node_stats();
       (void)cluster.contains(123);
+      (void)cluster.contains(900'000);
       (void)cluster.used_bytes();
       (void)cluster.metadata_bytes();
       (void)cluster.owners_of(123);
+      (void)cluster.live_node_count();
+      (void)cluster.backing_stats();
     }
   });
   std::vector<std::future<void>> workers;
@@ -481,9 +504,209 @@ TEST(ClusterCache, ConcurrentAccessAndSnapshotsAreRaceFree) {
   stop.store(true, std::memory_order_relaxed);
   poller.get();
 
-  EXPECT_EQ(cluster.totals().requests, trace.requests.size());
+  const ClusterTotals t = cluster.totals();
+  EXPECT_EQ(t.requests, trace.requests.size());
+  EXPECT_GT(t.hot_spread_requests, 0u);
+  EXPECT_GT(t.peer_fills, 0u);
   EXPECT_EQ(cluster.node_count(), 5u);
+  EXPECT_EQ(cluster.live_node_count(), 4u);
+  EXPECT_FALSE(cluster.node_stats()[1].live);
   expect_flow_conservation(cluster);
+}
+
+TEST(ClusterCache, ClientMembershipChangesLoseNoRequestCount) {
+  // join()/leave() called by a client thread while the others keep
+  // accessing: requests already routed on the old snapshot finish on their
+  // node (a retired one included) and every one of them is counted.
+  const Trace trace = trace_with_hot_set(17, /*hot_ids=*/8);
+  ClusterCacheConfig cfg;
+  cfg.policy = "SCIP";
+  cfg.capacity_bytes = kCap;
+  cfg.nodes = 3;
+  cfg.replicas = 2;
+  cfg.hot_threshold = 8;
+  cfg.hot_window = 2048;
+  ClusterCache cluster(cfg);
+
+  constexpr std::size_t kWorkers = 4;
+  const std::size_t n = trace.requests.size();
+  ThreadPool pool(kWorkers);
+  std::vector<std::future<void>> workers;
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    workers.push_back(pool.submit([&cluster, &trace, n, w] {
+      const std::size_t share = n / kWorkers;
+      for (std::size_t i = w, k = 0; i < n; i += kWorkers, ++k) {
+        if (w == 0 && k == share / 3) (void)cluster.join();
+        if (w == 0 && k == 2 * share / 3) cluster.leave(0);
+        cluster.access(trace.requests[i]);
+      }
+    }));
+  }
+  for (auto& f : workers) f.get();
+
+  const ClusterTotals t = cluster.totals();
+  EXPECT_EQ(t.requests, n);
+  EXPECT_EQ(cluster.node_count(), 4u);
+  EXPECT_EQ(cluster.live_node_count(), 3u);
+  EXPECT_GT(t.migrated_keys, 0u);
+  std::uint64_t per_node = 0;
+  for (const ClusterNodeStats& ns : cluster.node_stats()) {
+    per_node += ns.shard.requests;
+  }
+  EXPECT_EQ(per_node, n);
+  expect_flow_conservation(cluster);
+}
+
+/// Forwards every Cache call to an inner policy — the shape of a timing or
+/// tracing decorator. It is not a QueueCache, so warm transfer can only
+/// see its residents through for_each_resident.
+class Forwarding final : public Cache {
+ public:
+  explicit Forwarding(CachePtr inner)
+      : Cache(inner->capacity()), inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  bool access(const Request& req) override { return inner_->access(req); }
+  bool access_hashed(const Request& req, std::uint64_t h) override {
+    return inner_->access_hashed(req, h);
+  }
+  [[nodiscard]] bool contains(std::uint64_t id) const override {
+    return inner_->contains(id);
+  }
+  [[nodiscard]] bool contains_hashed(std::uint64_t id,
+                                     std::uint64_t h) const override {
+    return inner_->contains_hashed(id, h);
+  }
+  bool for_each_resident(
+      const std::function<bool(std::uint64_t, std::uint64_t)>& fn)
+      const override {
+    return inner_->for_each_resident(fn);
+  }
+  [[nodiscard]] std::uint64_t used_bytes() const override {
+    return inner_->used_bytes();
+  }
+  [[nodiscard]] std::uint64_t metadata_bytes() const override {
+    return inner_->metadata_bytes();
+  }
+
+ private:
+  CachePtr inner_;
+};
+
+TEST(ClusterCache, WarmTransferSeesThroughDecoratorsAndNonQueuePolicies) {
+  // A join and a leave must move the same keys whether each node is the
+  // bare policy or the policy behind a forwarding decorator, for a queue
+  // policy (LRU) and for policies that are not QueueCaches (S4LRU, GDSF).
+  const std::size_t kIds = 1'000;
+  const Trace trace = unique_trace(kIds, /*size=*/1'000);
+  for (const std::string policy : {"LRU", "S4LRU", "GDSF"}) {
+    ClusterCacheConfig cfg;
+    cfg.policy = policy;
+    cfg.capacity_bytes = 64ULL << 20;  // no eviction anywhere
+    cfg.nodes = 2;
+    cfg.replicas = 1;
+    ClusterCache plain(cfg);
+    ClusterCache decorated(cfg, [&cfg](std::uint64_t capacity,
+                                       std::size_t node) {
+      return std::make_unique<Forwarding>(
+          make_cache(cfg.policy, capacity, cfg.seed + node));
+    });
+    for (ClusterCache* c : {&plain, &decorated}) {
+      for (const Request& req : trace.requests) c->access(req);
+      const std::uint32_t joiner = c->join();
+      c->leave(0);
+      ASSERT_EQ(joiner, 2u);
+    }
+
+    const ClusterTotals p = plain.totals();
+    const ClusterTotals d = decorated.totals();
+    EXPECT_GT(p.migrated_keys, 0u) << policy;
+    EXPECT_EQ(p.migrated_keys, d.migrated_keys) << policy;
+    EXPECT_EQ(p.migrated_bytes, d.migrated_bytes) << policy;
+    for (const Request& req : trace.requests) {
+      for (std::uint32_t n = 1; n < 3; ++n) {
+        ASSERT_EQ(plain.node_contains(n, req.id),
+                  decorated.node_contains(n, req.id))
+            << policy << " id " << req.id << " node " << n;
+      }
+      // Every key is warm on its owner after the join and the leave.
+      EXPECT_TRUE(plain.node_contains(plain.owners_of(req.id)[0], req.id))
+          << policy << " id " << req.id;
+    }
+  }
+}
+
+TEST(StripedHotKeyTracker, MatchesOneGlobalTrackerOnAFlashTrace) {
+  // Fed the request index as seq, the striped tracker must give the same
+  // (count, hot) answer as one global tracker on every request of a flash
+  // crowd trace, across many window rolls.
+  const Trace trace =
+      stress::make_stressed_trace(stress::make_stress_scenario("flash", 0.02));
+  ASSERT_GT(trace.requests.size(), 10u * 1024);
+  HotKeyTracker global(/*threshold=*/8, /*window=*/1024);
+  StripedHotKeyTracker striped(/*threshold=*/8, /*window=*/1024);
+  std::uint64_t hot = 0;
+  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+    const std::uint64_t id = trace.requests[i].id;
+    const std::uint64_t h = hash64(id);
+    const std::uint32_t count = global.observe_hashed(id, h);
+    const bool is_hot = global.hot_hashed(id, h, count);
+    const StripedHotKeyTracker::Sample s = striped.observe_hashed(i, id, h);
+    ASSERT_EQ(s.count, count) << "request " << i;
+    ASSERT_EQ(s.hot, is_hot) << "request " << i;
+    hot += is_hot ? 1 : 0;
+  }
+  EXPECT_GT(hot, 0u);
+}
+
+/// First id at or after `from` whose tracker stripe is (or is not)
+/// `stripe`.
+std::uint64_t id_in_stripe(std::uint64_t from, std::uint64_t stripe,
+                           bool inside) {
+  for (std::uint64_t id = from;; ++id) {
+    const std::uint64_t s =
+        hash64(id) >> (64 - StripedHotKeyTracker::kStripeBits);
+    if ((s == stripe) == inside) return id;
+  }
+}
+
+TEST(StripedHotKeyTracker, StripeIdleForAWindowForgetsItsHotSet) {
+  // Key A gets hot in window 0. Window 1 sends nothing to A's stripe, so
+  // the global tracker enters window 2 with an empty previous hot set and
+  // A's next request is cold. The stripe jumps from window 0 to window 2
+  // and must clear its hot sets rather than roll window 0's set forward.
+  constexpr std::uint32_t kThreshold = 4;
+  constexpr std::uint64_t kWindow = 64;
+  const std::uint64_t a = 7;
+  const std::uint64_t stripe =
+      hash64(a) >> (64 - StripedHotKeyTracker::kStripeBits);
+  const std::uint64_t other = id_in_stripe(1'000, stripe, /*inside=*/false);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < kWindow; ++i) {
+    ids.push_back(i < kThreshold ? a : other);  // window 0: A crosses
+  }
+  for (std::uint64_t i = 0; i < kWindow; ++i) {
+    ids.push_back(other);  // window 1: A's stripe sees nothing
+  }
+  ids.push_back(a);  // window 2
+  HotKeyTracker global(kThreshold, kWindow);
+  StripedHotKeyTracker striped(kThreshold, kWindow);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint64_t h = hash64(ids[i]);
+    const std::uint32_t count = global.observe_hashed(ids[i], h);
+    const bool is_hot = global.hot_hashed(ids[i], h, count);
+    const StripedHotKeyTracker::Sample s =
+        striped.observe_hashed(i, ids[i], h);
+    ASSERT_EQ(s.count, count) << "request " << i;
+    ASSERT_EQ(s.hot, is_hot) << "request " << i;
+  }
+  // Sanity of the crafted trace itself: A was hot in window 0 and is cold
+  // at its window-2 request.
+  EXPECT_TRUE(global.hot_hashed(a, hash64(a), kThreshold));
+  const StripedHotKeyTracker::Sample last =
+      striped.observe_hashed(ids.size(), a, hash64(a));
+  EXPECT_EQ(last.count, 2u);
+  EXPECT_FALSE(last.hot);
 }
 
 TEST(HotKeyTracker, ThresholdCrossingAndWindowMemory) {

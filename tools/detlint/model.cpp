@@ -364,7 +364,9 @@ struct Parser {
   // -- statement-level scans (inside function bodies) ----------------------
 
   void scan_segment_locks(Function& fn, int line, const std::string& seg) {
-    static const std::regex kGuard(R"(\bMutexLock\s+\w+\s*\(\s*([^)]+?)\s*\))");
+    // cdn::MutexLock and cdn::SpinMutexLock (util/mutex.hpp).
+    static const std::regex kGuard(
+        R"(\b(?:Spin)?MutexLock\s+\w+\s*\(\s*([^)]+?)\s*\))");
     static const std::regex kLockCall(R"(\.\s*(try_lock|lock|unlock)\s*\()");
     for (auto it = std::sregex_iterator(seg.begin(), seg.end(), kGuard);
          it != std::sregex_iterator(); ++it) {
@@ -1006,8 +1008,9 @@ void ProjectModel::finalize() {
         std::string head = strip_type(m.type);
         const std::size_t sep = head.rfind("::");
         if (sep != std::string::npos) head = head.substr(sep + 2);
-        if (head == "Mutex" || head == "mutex" || head == "shared_mutex" ||
-            head == "recursive_mutex" || head == "timed_mutex") {
+        if (head == "Mutex" || head == "SpinMutex" || head == "mutex" ||
+            head == "shared_mutex" || head == "recursive_mutex" ||
+            head == "timed_mutex") {
           mutex_members[m.name].insert(cls.qual);
         }
       }

@@ -2,8 +2,9 @@
 //
 // Three pass families (ISSUE 8):
 //
-//   lock-order        Every MutexLock / .lock() / .try_lock() site is an
-//                     acquisition; CDN_REQUIRES arguments (merged from
+//   lock-order        Every MutexLock / SpinMutexLock / .lock() /
+//                     .try_lock() site is an acquisition;
+//                     CDN_REQUIRES arguments (merged from
 //                     declarations across TUs) are held on entry. Each
 //                     acquisition with a non-empty held set contributes
 //                     held -> acquired edges to the mutex-order graph;

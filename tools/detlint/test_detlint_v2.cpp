@@ -75,6 +75,21 @@ TEST(DetlintLockOrder, CycleAcrossTwoTranslationUnits) {
   EXPECT_NE(findings[0].message.find("right.cpp:8"), std::string::npos);
 }
 
+TEST(DetlintLockOrder, SpinMutexJoinsTheAcquisitionGraph) {
+  // Same shape as above with one side a SpinMutex taken through
+  // SpinMutexLock: the cycle must still be found, with the spin lock's
+  // canonical per-class name in the message.
+  const auto findings =
+      scan_project(DETLINT_TESTDATA_DIR, {"v2/lockcycle_spin"});
+  EXPECT_EQ(rule_lines(findings),
+            (std::vector<std::pair<std::string, int>>{
+                {"lock-order-cycle", 8}}));
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("PairSpin::node_"), std::string::npos)
+      << findings[0].message;
+  EXPECT_NE(findings[0].message.find("PairSpin::outer_"), std::string::npos);
+}
+
 TEST(DetlintLockOrder, ConsistentOrderAcrossTUsIsClean) {
   const auto findings =
       scan_project(DETLINT_TESTDATA_DIR, {"v2/lockcycle_good"});
