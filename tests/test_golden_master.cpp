@@ -1,6 +1,7 @@
-// Golden-master end-to-end tests: four policies (SCIP, LRU, SCI, LIP) run
-// over one small fixed-seed synthetic trace, with EXACT hit/miss/byte
-// counters pinned — not ratios. Any behavioral drift anywhere in the
+// Golden-master end-to-end tests: the paper's policies (SCIP, LRU, SCI,
+// LIP) plus the orchestrator and its S4LRU/TinyLFU experts run over one
+// small fixed-seed synthetic trace, with EXACT hit/miss/byte counters
+// pinned — not ratios. Any behavioral drift anywhere in the
 // engine (generator, RNG, queue, advisor, simulator accounting) fails
 // these loudly, which is the point: an intentional behavior change must
 // re-pin the numbers in the same commit that explains why.
@@ -10,6 +11,7 @@
 // no wall-clock dependence).
 #include <gtest/gtest.h>
 
+#include "core/orchestrator.hpp"
 #include "core/registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
@@ -62,6 +64,10 @@ constexpr Golden kGolden[] = {
     {"LRU", 13'826u, 138'854'928u, 11'493u, 117'571'931u},
     {"SCI", 13'731u, 138'048'342u, 11'414u, 116'852'560u},
     {"LIP", 10'570u, 110'151'082u, 9'088u, 96'472'935u},
+    {"S4LRU", 13'836u, 139'649'300u, 11'848u, 121'268'020u},
+    {"TinyLFU", 14'757u, 144'031'159u, 12'399u, 123'056'581u},
+    {"S4LRU-SCIP", 13'763u, 139'363'175u, 11'793u, 121'105'927u},
+    {"Orchestrator", 14'757u, 144'031'159u, 12'399u, 123'056'581u},
 };
 
 SimOptions golden_options() {
@@ -120,6 +126,26 @@ INSTANTIATE_TEST_SUITE_P(Policies, GoldenMasterPolicy,
                            return name;
                          });
 
+// The registry Orchestrator above starts TinyLFU live and never switches
+// on the golden trace, so its row pins only the shadows' side effects.
+// This master starts S4LRU live with a short window, so the S4LRU hot path
+// serves live traffic and expert hand-offs (warm transfer through
+// for_each_resident) actually fire.
+TEST(GoldenMaster, OrchestratorFromS4LruIsPinned) {
+  OrchestratorParams p;
+  p.initial = 1;  // S4LRU
+  p.window = 256;
+  p.min_dwell_windows = 4;
+  OrchestratorCache cache(kCapacity, p);
+  const auto res = simulate(cache, golden_trace(), golden_options());
+  EXPECT_EQ(res.hits, 14'018u);
+  EXPECT_EQ(res.bytes_hit, 138'064'733u);
+  EXPECT_EQ(res.warm_hits, 11'829u);
+  EXPECT_EQ(res.warm_bytes_hit, 118'149'113u);
+  EXPECT_EQ(cache.switches(), 2u);
+  EXPECT_EQ(cache.live_policy(), "TinyLFU");
+}
+
 // ------------------------------------------- stressed-scenario masters --
 //
 // Same exact-counter discipline over two nonstationary scenarios from the
@@ -152,6 +178,14 @@ constexpr StressedGolden kStressedGolden[] = {
     {"flash", "LRU", 7'448u, 307'726'431u, 5'902u, 210'507'697u},
     {"drift", "SCIP", 3'119u, 102'627'051u, 2'624u, 86'138'152u},
     {"drift", "LRU", 3'152u, 103'233'633u, 2'645u, 86'535'091u},
+    {"flash", "S4LRU", 8'219u, 323'627'634u, 6'685u, 228'960'551u},
+    {"flash", "TinyLFU", 7'674u, 302'859'538u, 6'003u, 202'470'614u},
+    {"flash", "S4LRU-SCIP", 8'129u, 318'606'738u, 6'616u, 224'692'895u},
+    {"flash", "Orchestrator", 7'674u, 302'859'538u, 6'003u, 202'470'614u},
+    {"drift", "S4LRU", 3'336u, 105'014'745u, 2'870u, 89'620'027u},
+    {"drift", "TinyLFU", 3'410u, 111'498'875u, 2'795u, 92'561'297u},
+    {"drift", "S4LRU-SCIP", 3'254u, 103'848'991u, 2'793u, 88'557'767u},
+    {"drift", "Orchestrator", 3'410u, 111'498'875u, 2'795u, 92'561'297u},
 };
 
 TEST(GoldenMaster, StressedTracesArePinned) {
@@ -193,8 +227,13 @@ TEST_P(StressedGoldenPolicy, ReRunIsBitwiseIdentical) {
 INSTANTIATE_TEST_SUITE_P(Scenarios, StressedGoldenPolicy,
                          ::testing::ValuesIn(kStressedGolden),
                          [](const auto& info) {
-                           return std::string(info.param.scenario) + "_" +
-                                  info.param.policy;
+                           std::string name =
+                               std::string(info.param.scenario) + "_" +
+                               info.param.policy;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
                          });
 
 }  // namespace
