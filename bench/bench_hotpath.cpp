@@ -1,7 +1,7 @@
 // Hot-path index microbenchmark: cdn::FlatMap vs std::unordered_map.
 //
 // Every simulated request funnels through the id -> slot indexes of
-// LruQueue / GhostList (and SCIP-S4LRU's id -> level map), so the map's
+// LruQueue / GhostList / SegmentedQueue (the S4LRU hosts), so the map's
 // find/insert/erase/touch cost is the simulator's per-request floor. This
 // bench measures exactly that mix two ways:
 //

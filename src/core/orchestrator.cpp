@@ -72,16 +72,18 @@ bool OrchestratorCache::access(const Request& req) {
   return access_hashed(req, hash64(req.id));
 }
 
+bool OrchestratorCache::sampled(std::uint64_t h) const noexcept {
+  // Sample from the TOP hash bits: the low bits stay untouched for the
+  // experts' own internal slicing (SCIP's duels, SB-LRU's arms). The shift
+  // is branched on because x >> 64 is undefined, and slice_shift == 0
+  // means "sample everything".
+  return params_.slice_shift == 0 ||
+         (h >> (64U - static_cast<unsigned>(params_.slice_shift))) == 0;
+}
+
 bool OrchestratorCache::access_hashed(const Request& req, std::uint64_t h) {
   if (enabled_) {
-    // Sample from the TOP hash bits: the low bits stay untouched for the
-    // experts' own internal slicing (SCIP's duels, SB-LRU's arms). The
-    // shift is branched on because x >> 64 is undefined, and slice_shift
-    // == 0 means "sample everything".
-    const bool sampled =
-        params_.slice_shift == 0 ||
-        (h >> (64U - static_cast<unsigned>(params_.slice_shift))) == 0;
-    if (sampled) {
+    if (sampled(h)) {
       // Scaled miniature (header comment): request sizes shrink with the
       // shadow capacity so the size-to-capacity geometry stays the live
       // cache's; an object the full cache cannot hold stays unholdable in
@@ -218,7 +220,14 @@ bool OrchestratorCache::contains_hashed(std::uint64_t id,
 }
 
 void OrchestratorCache::prefetch(std::uint64_t id) const noexcept {
-  live_->prefetch(id);
+  prefetch_hashed(id, hash64(id));
+}
+
+void OrchestratorCache::prefetch_hashed(std::uint64_t id,
+                                        std::uint64_t h) const noexcept {
+  live_->prefetch_hashed(id, h);
+  if (!enabled_ || !sampled(h)) return;
+  for (const CachePtr& s : shadows_) s->prefetch_hashed(id, h);
 }
 
 std::uint64_t OrchestratorCache::used_bytes() const {

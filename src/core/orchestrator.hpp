@@ -179,6 +179,11 @@ class OrchestratorCache final : public Cache, public obs::Introspectable {
   [[nodiscard]] bool contains_hashed(std::uint64_t id,
                                      std::uint64_t h) const override;
   void prefetch(std::uint64_t id) const noexcept override;
+  /// Hints the live cache AND every shadow that will replay `id` (the
+  /// shadows only when `id` falls in the slice_shift sample), so the
+  /// experts' index probes overlap like the live one's.
+  void prefetch_hashed(std::uint64_t id,
+                       std::uint64_t h) const noexcept override;
   [[nodiscard]] std::uint64_t used_bytes() const override;
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
   bool for_each_resident(
@@ -218,6 +223,7 @@ class OrchestratorCache final : public Cache, public obs::Introspectable {
  private:
   [[nodiscard]] std::uint64_t shadow_seed(std::size_t j) const;
   [[nodiscard]] std::uint64_t live_seed(std::size_t j) const;
+  [[nodiscard]] bool sampled(std::uint64_t h) const noexcept;
   void close_window_if_scorable();
   void switch_to(std::size_t idx);
 

@@ -13,7 +13,7 @@ ScipS4LruCache::ScipS4LruCache(std::uint64_t capacity_bytes,
   if (!advisor_) {
     throw std::invalid_argument("ScipS4LruCache: advisor is required");
   }
-  for (auto& c : seg_cap_) c = capacity_bytes / kLevels;
+  seg_cap_.fill(capacity_bytes / kLevels);
   seg_cap_[0] += capacity_bytes - (capacity_bytes / kLevels) * kLevels;
 }
 
@@ -21,69 +21,46 @@ std::string ScipS4LruCache::name() const {
   return std::string("S4LRU-") + advisor_->tag();
 }
 
-std::uint64_t ScipS4LruCache::used_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& s : seg_) total += s.used_bytes();
-  return total;
+void ScipS4LruCache::evict(std::size_t level) {
+  const Segments::Node n = seg_.pop_lru(level);
+  advisor_->on_evict(n.id, n.size, n.insert_pos == 1, n.hits > 0);
 }
 
 void ScipS4LruCache::rebalance() {
-  for (int i = kLevels - 1; i >= 1; --i) {
-    auto& s = seg_[static_cast<std::size_t>(i)];
-    while (s.used_bytes() > seg_cap_[static_cast<std::size_t>(i)] &&
-           s.count() > 1) {
-      LruQueue::Node n = s.pop_lru();
-      LruQueue::Node& moved =
-          seg_[static_cast<std::size_t>(i - 1)].insert_mru(n.id, n.size);
-      moved.hits = n.hits;
-      moved.insert_pos = n.insert_pos;
-      moved.insert_tick = n.insert_tick;
-      moved.last_tick = n.last_tick;
-      level_[n.id] = static_cast<std::uint8_t>(i - 1);
+  // Demotions are relinks: the node keeps its hits, ticks and insertion
+  // mark, so the advisor sees the original mark when it finally leaves.
+  for (std::size_t i = kLevels - 1; i >= 1; --i) {
+    while (seg_.bytes(i) > seg_cap_[i] && seg_.count(i) > 1) {
+      seg_.relink_mru(seg_.lru(i), i - 1);
     }
   }
-  while (seg_[0].used_bytes() > seg_cap_[0] && !seg_[0].empty()) {
-    const LruQueue::Node n = seg_[0].pop_lru();
-    level_.erase(n.id);
-    advisor_->on_evict(n.id, n.size, n.insert_pos == 1, n.hits > 0);
-  }
-  while (used_bytes() > capacity_) {
-    for (auto& s : seg_) {
-      if (!s.empty()) {
-        const LruQueue::Node n = s.pop_lru();
-        level_.erase(n.id);
-        advisor_->on_evict(n.id, n.size, n.insert_pos == 1, n.hits > 0);
-        break;
-      }
-    }
+  while (seg_.bytes(0) > seg_cap_[0] && !seg_.empty(0)) evict(0);
+  while (seg_.used_bytes() > capacity_) {
+    std::size_t i = 0;
+    while (seg_.empty(i)) ++i;
+    evict(i);
   }
 }
 
 bool ScipS4LruCache::access(const Request& req) {
+  return access_hashed(req, hash64(req.id));
+}
+
+bool ScipS4LruCache::access_hashed(const Request& req, std::uint64_t h) {
   ++tick_;
-  // The pointer stays valid through the hit path: nothing below inserts
-  // into level_ before the assignments through it (rebalance() runs after).
-  std::uint8_t* lv = level_.find(req.id);
-  if (lv != nullptr) {
-    const int cur = *lv;
-    LruQueue::Node moved{};
-    seg_[static_cast<std::size_t>(cur)].erase(req.id, &moved);
-    const bool mru = advisor_->choose_mru_for_hit(req, moved.hits + 1);
+  // The node pointer stays valid through the hit path: the advisor never
+  // touches the segments, and relinks do not move nodes.
+  if (Segments::Node* n = seg_.find_hashed(req.id, h)) {
+    const bool mru = advisor_->choose_mru_for_hit(req, n->hits + 1);
+    ++n->hits;
+    n->last_tick = tick_;
     if (mru) {
-      const int dst = std::min(cur + 1, kLevels - 1);
-      LruQueue::Node& n =
-          seg_[static_cast<std::size_t>(dst)].insert_mru(req.id, moved.size);
-      n.hits = moved.hits + 1;
-      n.insert_tick = moved.insert_tick;
-      n.last_tick = tick_;
-      *lv = static_cast<std::uint8_t>(dst);
+      n->insert_pos = 1;
+      seg_.relink_mru(*n, std::min(n->list() + 1, kLevels - 1));
     } else {
       // P-ZRO treatment: straight to the global eviction frontier.
-      LruQueue::Node& n = seg_[0].insert_lru(req.id, moved.size);
-      n.hits = moved.hits + 1;
-      n.insert_tick = moved.insert_tick;
-      n.last_tick = tick_;
-      *lv = 0;
+      n->insert_pos = 0;
+      seg_.relink_lru(*n, 0);
     }
     rebalance();
     advisor_->on_request(req, true);
@@ -95,24 +72,17 @@ bool ScipS4LruCache::access(const Request& req) {
     advisor_->on_request(req, false);
     return false;
   }
-  const bool mru = advisor_->choose_mru_for_miss(req);
-  LruQueue::Node& n = mru ? seg_[0].insert_mru(req.id, req.size)
-                          : seg_[0].insert_lru(req.id, req.size);
+  Segments::Node& n = advisor_->choose_mru_for_miss(req)
+                          ? seg_.insert_mru(0, req.id, req.size, h)
+                          : seg_.insert_lru(0, req.id, req.size, h);
   n.insert_tick = n.last_tick = tick_;
-  level_[req.id] = 0;
   rebalance();
   advisor_->on_request(req, false);
   return false;
 }
 
 std::uint64_t ScipS4LruCache::metadata_bytes() const {
-  // 3x the inline slot size amortizes the flat index's power-of-two slack
-  // (the table runs between 1/4 and 1/2 occupancy; 3x is the midpoint).
-  constexpr std::uint64_t kLevelEntry =
-      3 * FlatMap<std::uint64_t, std::uint8_t>::kSlotBytes;
-  std::uint64_t total = level_.size() * kLevelEntry + advisor_->metadata_bytes();
-  for (const auto& s : seg_) total += s.metadata_bytes();
-  return total;
+  return seg_.metadata_bytes() + advisor_->metadata_bytes();
 }
 
 CachePtr make_s4lru_scip(std::uint64_t capacity_bytes, std::uint64_t seed) {

@@ -10,7 +10,8 @@
 //   hit,  LRU verdict -> demote to segment 0's LRU end (P-ZRO treatment).
 // Victims always leave from segment 0's LRU end and are reported to the
 // advisor with their insertion mark, so SCIP's history lists and duels
-// work unchanged.
+// work unchanged. The segments are the four lists of one SegmentedQueue,
+// so every segment change above is a relink, never an index erase+insert.
 #pragma once
 
 #include <array>
@@ -18,8 +19,7 @@
 
 #include "sim/advisor.hpp"
 #include "sim/cache.hpp"
-#include "sim/lru_queue.hpp"
-#include "util/flat_map.hpp"
+#include "sim/segmented_queue.hpp"
 
 namespace cdn {
 
@@ -30,21 +30,39 @@ class ScipS4LruCache final : public Cache {
 
   [[nodiscard]] std::string name() const override;
   bool access(const Request& req) override;
+  bool access_hashed(const Request& req, std::uint64_t h) override;
   [[nodiscard]] bool contains(std::uint64_t id) const override {
-    return level_.contains(id);
+    return seg_.contains(id);
   }
-  [[nodiscard]] std::uint64_t used_bytes() const override;
+  [[nodiscard]] bool contains_hashed(std::uint64_t id,
+                                     std::uint64_t h) const override {
+    return seg_.contains_hashed(id, h);
+  }
+  /// Hints the segment index and the advisor's history-list slots.
+  void prefetch(std::uint64_t id) const noexcept override {
+    prefetch_hashed(id, hash64(id));
+  }
+  void prefetch_hashed(std::uint64_t /*id*/,
+                       std::uint64_t h) const noexcept override {
+    seg_.prefetch_hashed(h);
+    advisor_->prefetch_hashed(h);
+  }
+  [[nodiscard]] std::uint64_t used_bytes() const override {
+    return seg_.used_bytes();
+  }
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
 
-  static constexpr int kLevels = 4;
+  static constexpr std::size_t kLevels = 4;
 
  private:
+  using Segments = SegmentedQueue<kLevels>;
+
   void rebalance();
+  void evict(std::size_t level);
 
   std::shared_ptr<InsertionAdvisor> advisor_;
-  std::array<LruQueue, kLevels> seg_;
+  Segments seg_;
   std::array<std::uint64_t, kLevels> seg_cap_{};
-  FlatMap<std::uint64_t, std::uint8_t> level_;
   std::int64_t tick_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "policies/admission/count_min.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 namespace cdn {
@@ -19,16 +20,26 @@ std::size_t CountMinSketch::index(int row, std::uint64_t key) const {
          mask_;
 }
 
-void CountMinSketch::add(std::uint64_t key) {
-  // Conservative update: only bump cells equal to the current minimum.
-  const std::uint8_t est = estimate(key);
+std::uint8_t CountMinSketch::add(std::uint64_t key) {
+  // Each row's cell is hashed once and reused for the minimum, the
+  // conservative update (only cells equal to the minimum are bumped) and
+  // the post-update read-back.
+  std::array<std::uint8_t*, kRows> cells{};
+  std::uint8_t est = kMax;
+  for (int r = 0; r < kRows; ++r) {
+    cells[r] = &rows_[r][index(r, key)];
+    est = std::min(est, *cells[r]);
+  }
   if (est < kMax) {
-    for (int r = 0; r < kRows; ++r) {
-      std::uint8_t& c = rows_[r][index(r, key)];
-      if (c == est) ++c;
+    for (std::uint8_t* c : cells) {
+      if (*c == est) ++*c;
     }
   }
+  // age() halves in place, so the cell pointers stay valid across it.
   if (++additions_ >= window_) age();
+  std::uint8_t m = kMax;
+  for (const std::uint8_t* c : cells) m = std::min(m, *c);
+  return m;
 }
 
 std::uint8_t CountMinSketch::estimate(std::uint64_t key) const {

@@ -18,7 +18,10 @@ class CountMinSketch {
                           std::uint64_t window = 1 << 18);
 
   /// Records one occurrence; halves all counters when the window fills.
-  void add(std::uint64_t key);
+  /// Returns the key's estimate AFTER the update (and any halving) — what
+  /// estimate(key) would now return — read back from the cells the update
+  /// already located, so a caller that needs both pays the row hashes once.
+  std::uint8_t add(std::uint64_t key);
 
   /// Point estimate (min over rows).
   [[nodiscard]] std::uint8_t estimate(std::uint64_t key) const;

@@ -1,124 +1,83 @@
 #include "policies/replacement/s4lru.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace cdn {
 
 S4LruCache::S4LruCache(std::uint64_t capacity_bytes)
     : Cache(capacity_bytes) {
-  for (int i = 0; i < kLevels; ++i) {
-    seg_cap_[static_cast<std::size_t>(i)] = capacity_bytes / kLevels;
-  }
+  seg_cap_.fill(capacity_bytes / kLevels);
   // Give the rounding remainder to the bottom segment.
   seg_cap_[0] += capacity_bytes - (capacity_bytes / kLevels) * kLevels;
 }
 
-std::uint64_t S4LruCache::used_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& s : seg_) total += s.used_bytes();
-  return total;
-}
-
 void S4LruCache::rebalance() {
-  // Demote overflow downward. A single object bigger than its segment is
-  // tolerated in place (count > 1 guard) — the global loop below still
-  // enforces the total capacity.
-  for (int i = kLevels - 1; i >= 1; --i) {
-    auto& s = seg_[static_cast<std::size_t>(i)];
-    while (s.used_bytes() > seg_cap_[static_cast<std::size_t>(i)] &&
-           s.count() > 1) {
-      LruQueue::Node n = s.pop_lru();
-      auto& lower = seg_[static_cast<std::size_t>(i - 1)];
-      LruQueue::Node& moved = lower.insert_mru(n.id, n.size);
-      moved.insert_tick = n.insert_tick;
-      moved.last_tick = n.last_tick;
-      moved.hits = n.hits;
-      level_[n.id] = static_cast<std::uint8_t>(i - 1);
+  // Demote overflow downward, each step a relink to the MRU end of the
+  // segment below. A single object bigger than its segment is tolerated in
+  // place (count > 1 guard) — the global loop below still enforces the
+  // total capacity.
+  for (std::size_t i = kLevels - 1; i >= 1; --i) {
+    while (seg_.bytes(i) > seg_cap_[i] && seg_.count(i) > 1) {
+      seg_.relink_mru(seg_.lru(i), i - 1);
     }
   }
-  auto& bottom = seg_[0];
-  while (bottom.used_bytes() > seg_cap_[0] && !bottom.empty()) {
-    LruQueue::Node n = bottom.pop_lru();
-    level_.erase(n.id);
+  while (seg_.bytes(0) > seg_cap_[0] && !seg_.empty(0)) {
+    (void)seg_.pop_lru(0);
   }
   // Global capacity enforcement: evict upward from the lowest segment.
-  while (used_bytes() > capacity_) {
-    for (int i = 0; i < kLevels; ++i) {
-      auto& s = seg_[static_cast<std::size_t>(i)];
-      if (!s.empty()) {
-        LruQueue::Node n = s.pop_lru();
-        level_.erase(n.id);
-        break;
-      }
-    }
+  while (seg_.used_bytes() > capacity_) {
+    std::size_t i = 0;
+    while (seg_.empty(i)) ++i;
+    (void)seg_.pop_lru(i);
   }
 }
 
 bool S4LruCache::access(const Request& req) {
+  return access_hashed(req, hash64(req.id));
+}
+
+bool S4LruCache::access_hashed(const Request& req, std::uint64_t h) {
   ++tick_;
-  auto it = level_.find(req.id);
-  if (it != level_.end()) {
-    const int cur = it->second;
-    const int dst = std::min(cur + 1, kLevels - 1);
-    LruQueue::Node moved{};
-    seg_[static_cast<std::size_t>(cur)].erase(req.id, &moved);
-    LruQueue::Node& n =
-        seg_[static_cast<std::size_t>(dst)].insert_mru(req.id, moved.size);
-    n.insert_tick = moved.insert_tick;
-    n.last_tick = tick_;
-    n.hits = moved.hits + 1;
-    it->second = static_cast<std::uint8_t>(dst);
+  if (Segments::Node* n = seg_.find_hashed(req.id, h)) {
+    ++n->hits;
+    n->last_tick = tick_;
+    seg_.relink_mru(*n, std::min(n->list() + 1, kLevels - 1));
     rebalance();
     return true;
   }
   if (!fits(req.size)) return false;
-  LruQueue::Node& n = seg_[0].insert_mru(req.id, req.size);
+  Segments::Node& n = seg_.insert_mru(0, req.id, req.size, h);
   n.insert_tick = n.last_tick = tick_;
-  level_[req.id] = 0;
   rebalance();
   return false;
 }
 
-std::uint64_t S4LruCache::metadata_bytes() const {
-  std::uint64_t total = level_.size() * 48;
-  for (const auto& s : seg_) total += s.metadata_bytes();
-  return total;
-}
-
 void S4LruCache::sample_metrics(obs::MetricRegistry& reg) {
-  for (int i = 0; i < kLevels; ++i) {
-    const auto& s = seg_[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < kLevels; ++i) {
     const std::string prefix = "s4lru.seg" + std::to_string(i);
-    reg.series(prefix + "_bytes").push(static_cast<double>(s.used_bytes()));
-    reg.series(prefix + "_objects").push(static_cast<double>(s.count()));
+    reg.series(prefix + "_bytes").push(static_cast<double>(seg_.bytes(i)));
+    reg.series(prefix + "_objects").push(static_cast<double>(seg_.count(i)));
   }
 }
 
 bool S4LruCache::for_each_resident(
     const std::function<bool(std::uint64_t, std::uint64_t)>& fn) const {
-  bool keep_going = true;
-  for (int i = 0; i < kLevels && keep_going; ++i) {
-    seg_[static_cast<std::size_t>(i)].for_each_from_lru(
-        [&](const LruQueue::Node& n) {
-          keep_going = fn(n.id, n.size);
-          return keep_going;
-        });
+  for (std::size_t i = 0; i < kLevels; ++i) {
+    const bool finished = seg_.for_each_from_lru(
+        i, [&fn](const auto& n) { return fn(n.id, n.size); });
+    if (!finished) break;
   }
   return true;
 }
 
 bool S4LruCache::check_invariants() const {
-  std::uint64_t n = 0;
-  for (int i = 0; i < kLevels; ++i) {
-    const auto& s = seg_[static_cast<std::size_t>(i)];
-    n += s.count();
-    if (s.used_bytes() > seg_cap_[static_cast<std::size_t>(i)] &&
-        s.count() > 1) {
+  for (std::size_t i = 0; i < kLevels; ++i) {
+    if (seg_.bytes(i) > seg_cap_[i] && seg_.count(i) > 1) {
       return false;  // one oversized object alone may exceed a segment
     }
   }
-  if (used_bytes() > capacity_) return false;
-  return n == level_.size();
+  return seg_.used_bytes() <= capacity_ && seg_.check_structure();
 }
 
 }  // namespace cdn

@@ -56,6 +56,13 @@ class Cache {
   /// requests ahead to overlap probe-miss latency across requests.
   virtual void prefetch(std::uint64_t /*id*/) const noexcept {}
 
+  /// prefetch() with the caller-precomputed hash64(id) (same discipline as
+  /// access_hashed: a wrapper that hints several caches hashes once).
+  virtual void prefetch_hashed(std::uint64_t id,
+                               std::uint64_t /*h*/) const noexcept {
+    prefetch(id);
+  }
+
   /// Enumerates every resident object as (id, size) in eviction order —
   /// the next victim first, the most-protected object last — and returns
   /// true. Policies that cannot enumerate their residents return false

@@ -9,6 +9,7 @@
 #include "policies/replacement/lru.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
+#include "util/rng.hpp"
 
 namespace cdn {
 namespace {
@@ -46,6 +47,18 @@ TEST(CountMin, AgingHalvesCounts) {
   const auto before = sk.estimate(5);
   for (int i = 0; i < 100; ++i) sk.add(777777 + i);  // trip the window
   EXPECT_LT(sk.estimate(5), before);
+}
+
+TEST(CountMin, AddReturnsThePostUpdateEstimate) {
+  // A small window ages every 37 additions, so the read-back is checked on
+  // both sides of a halving and on saturated and colliding cells.
+  CountMinSketch sk(1 << 6, /*window=*/37);
+  Rng rng(0xc0de);
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t key = rng.below(40);
+    const std::uint8_t returned = sk.add(key);
+    ASSERT_EQ(returned, sk.estimate(key)) << "at addition " << i;
+  }
 }
 
 TEST(TinyLfu, RejectsOneHitWondersUnderPressure) {

@@ -1,13 +1,16 @@
-// Tests for the slab-backed LRU queue, including a randomized differential
-// test against a straightforward std::list reference model.
+// Tests for the slab-backed LRU queue and its K-list sibling
+// SegmentedQueue, each including a randomized differential test against a
+// straightforward std::list reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <list>
 #include <set>
 #include <vector>
 
 #include "sim/lru_queue.hpp"
+#include "sim/segmented_queue.hpp"
 #include "util/rng.hpp"
 
 namespace cdn {
@@ -331,6 +334,134 @@ TEST(LruQueue, MatchesReferenceModelUnderRandomOps) {
   });
   std::vector<std::uint64_t> want(ref.rbegin(), ref.rend());
   EXPECT_EQ(got, want);
+}
+
+// ---- SegmentedQueue ------------------------------------------------------
+
+using Seg3 = SegmentedQueue<3>;
+
+std::vector<std::uint64_t> list_ids(const Seg3& q, std::size_t k) {
+  std::vector<std::uint64_t> ids;
+  q.for_each_from_lru(k, [&ids](const Seg3::Node& n) {
+    ids.push_back(n.id);
+    return true;
+  });
+  return ids;
+}
+
+TEST(SegmentedQueue, RelinkMovesBetweenListsAndKeepsFields) {
+  Seg3 q;
+  Seg3::Node& a = q.insert_mru(0, 1, 100, hash64(1));
+  a.hits = 7;
+  a.insert_tick = 3;
+  a.last_tick = 5;
+  q.insert_lru(0, 2, 10, hash64(2));
+  EXPECT_EQ(list_ids(q, 0), (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(q.bytes(0), 110u);
+
+  Seg3::Node* n = q.find_hashed(1, hash64(1));
+  ASSERT_NE(n, nullptr);
+  q.relink_mru(*n, 2);
+  EXPECT_EQ(n->list(), 2u);
+  EXPECT_EQ(n->hits, 7u);
+  EXPECT_EQ(n->insert_tick, 3);
+  EXPECT_EQ(n->last_tick, 5);
+  EXPECT_EQ(n->insert_pos, 1);  // relinks never rewrite the insertion mark
+  EXPECT_EQ(q.bytes(0), 10u);
+  EXPECT_EQ(q.count(0), 1u);
+  EXPECT_EQ(q.bytes(2), 100u);
+  EXPECT_EQ(q.count(2), 1u);
+  EXPECT_EQ(q.used_bytes(), 110u);
+  EXPECT_TRUE(q.check_structure());
+
+  const Seg3::Node popped = q.pop_lru(2);
+  EXPECT_EQ(popped.id, 1u);
+  EXPECT_EQ(popped.hits, 7u);
+  EXPECT_FALSE(q.contains(1));
+  EXPECT_TRUE(q.empty(2));
+  EXPECT_EQ(q.used_bytes(), 10u);
+  EXPECT_TRUE(q.check_structure());
+}
+
+TEST(SegmentedQueue, MetadataFollowsSizeofDerivation) {
+  Seg3 q;
+  for (std::uint64_t id = 0; id < 10; ++id) {
+    q.insert_mru(id % 3, id, 1, hash64(id));
+  }
+  (void)q.pop_lru(0);
+  (void)q.pop_lru(1);
+  // 10 slab nodes (8 live + 2 free-listed), 2 free-list entries, and 8
+  // live index entries at 3 slots each.
+  constexpr std::uint64_t kSlot =
+      FlatMap<std::uint64_t, std::uint32_t>::kSlotBytes;
+  EXPECT_EQ(q.metadata_bytes(), 10 * sizeof(Seg3::Node) +
+                                    2 * sizeof(std::uint32_t) + 8 * 3 * kSlot);
+  EXPECT_EQ(sizeof(Seg3::Node), 48u);
+}
+
+TEST(SegmentedQueue, RandomOpsMatchListModel) {
+  // Reference: one std::list per segment (front = MRU) plus id -> size.
+  std::array<std::list<std::uint64_t>, 3> model;
+  std::vector<std::uint64_t> sizes(64, 0);
+  const auto where = [&](std::uint64_t id) -> std::size_t {
+    for (std::size_t k = 0; k < model.size(); ++k) {
+      if (std::find(model[k].begin(), model[k].end(), id) != model[k].end()) {
+        return k;
+      }
+    }
+    return model.size();
+  };
+  Seg3 q;
+  Rng rng(0x5e6);
+  for (int step = 0; step < 20'000; ++step) {
+    const std::uint64_t id = rng.below(sizes.size());
+    const std::size_t k = rng.below(3);
+    const bool mru = rng.below(2) == 0;
+    const std::size_t at = where(id);
+    Seg3::Node* n = q.find_hashed(id, hash64(id));
+    ASSERT_EQ(n != nullptr, at != model.size());
+    if (n == nullptr) {
+      sizes[id] = 1 + rng.below(1000);
+      if (mru) {
+        q.insert_mru(k, id, sizes[id], hash64(id));
+        model[k].push_front(id);
+      } else {
+        q.insert_lru(k, id, sizes[id], hash64(id));
+        model[k].push_back(id);
+      }
+    } else if (rng.below(4) == 0) {
+      const std::size_t victim_list = at;
+      const std::uint64_t victim = model[victim_list].back();
+      EXPECT_EQ(q.pop_lru(victim_list).id, victim);
+      model[victim_list].pop_back();
+    } else {
+      EXPECT_EQ(n->list(), at);
+      model[at].remove(id);
+      if (mru) {
+        q.relink_mru(*n, k);
+        model[k].push_front(id);
+      } else {
+        q.relink_lru(*n, k);
+        model[k].push_back(id);
+      }
+    }
+    std::uint64_t total = 0;
+    for (std::size_t j = 0; j < model.size(); ++j) {
+      const std::vector<std::uint64_t> want(model[j].rbegin(),
+                                            model[j].rend());
+      ASSERT_EQ(list_ids(q, j), want) << "list " << j << " at step " << step;
+      std::uint64_t bytes = 0;
+      for (const std::uint64_t m : model[j]) bytes += sizes[m];
+      ASSERT_EQ(q.bytes(j), bytes);
+      ASSERT_EQ(q.count(j), model[j].size());
+      total += bytes;
+    }
+    ASSERT_EQ(q.used_bytes(), total);
+    if (step % 256 == 0) {
+      ASSERT_TRUE(q.check_structure());
+    }
+  }
+  EXPECT_TRUE(q.check_structure());
 }
 
 }  // namespace

@@ -4,10 +4,16 @@
 //   * report contains() consistently with admissions,
 //   * be deterministic for a fixed seed,
 //   * produce hit counts bounded by requests,
-//   * survive pathological inputs (oversized objects, capacity 1, repeats).
+//   * survive pathological inputs (oversized objects, capacity 1, repeats),
+// plus a read-only-hints suite: prefetch/contains never change a decision.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "core/orchestrator.hpp"
 #include "core/registry.hpp"
+#include "obs/introspect.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 #include "trace/oracle.hpp"
@@ -112,6 +118,139 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ---- read-only hints --------------------------------------------------
+//
+// prefetch(), prefetch_hashed(), contains() and contains_hashed() are
+// advisory or read-only by contract (sim/cache.hpp). A cache that receives
+// all four before every access must stay bitwise equal to a twin that
+// receives none: same hit sequence, used_bytes, resident order, and
+// simulate()'s metrics_json and metadata peak.
+
+/// Forwards to `inner`. With `hints`, issues every read-only call for the
+/// request's id ahead of each access() and forwards the replay loop's
+/// prefetches; without, drops the replay loop's prefetches too.
+class HintProbe final : public Cache, public obs::Introspectable {
+ public:
+  HintProbe(CachePtr inner, bool hints)
+      : Cache(inner->capacity()), inner_(std::move(inner)), hints_(hints) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  bool access(const Request& req) override {
+    if (hints_) {
+      const std::uint64_t h = hash64(req.id);
+      inner_->prefetch(req.id);
+      inner_->prefetch_hashed(req.id, h);
+      residency_.push_back(inner_->contains(req.id));
+      EXPECT_EQ(inner_->contains_hashed(req.id, h), residency_.back());
+    }
+    hits_.push_back(inner_->access(req));
+    return hits_.back();
+  }
+  [[nodiscard]] bool contains(std::uint64_t id) const override {
+    return inner_->contains(id);
+  }
+  void prefetch(std::uint64_t id) const noexcept override {
+    if (hints_) inner_->prefetch(id);
+  }
+  [[nodiscard]] std::uint64_t used_bytes() const override {
+    return inner_->used_bytes();
+  }
+  // detlint:allow(accounting, hits_/residency_ are test bookkeeping, not cache metadata; the wrapped policy's footprint is forwarded unchanged)
+  [[nodiscard]] std::uint64_t metadata_bytes() const override {
+    return inner_->metadata_bytes();
+  }
+  bool for_each_resident(
+      const std::function<bool(std::uint64_t, std::uint64_t)>& fn)
+      const override {
+    return inner_->for_each_resident(fn);
+  }
+  void sample_metrics(obs::MetricRegistry& reg) override {
+    if (auto* in = dynamic_cast<obs::Introspectable*>(inner_.get())) {
+      in->sample_metrics(reg);
+    }
+  }
+
+  [[nodiscard]] const std::vector<bool>& hits() const { return hits_; }
+  [[nodiscard]] const std::vector<bool>& residency() const {
+    return residency_;
+  }
+  [[nodiscard]] Cache& inner() { return *inner_; }
+
+ private:
+  CachePtr inner_;
+  bool hints_;
+  std::vector<bool> hits_;
+  std::vector<bool> residency_;  ///< contains() before each access
+};
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> residents(
+    const Cache& c) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  c.for_each_resident([&out](std::uint64_t id, std::uint64_t size) {
+    out.emplace_back(id, size);
+    return true;
+  });
+  return out;
+}
+
+void expect_hints_read_only(CachePtr hinted_inner, CachePtr plain_inner,
+                            const Trace& t) {
+  HintProbe hinted(std::move(hinted_inner), true);
+  HintProbe plain(std::move(plain_inner), false);
+  SimOptions opts;
+  opts.window = 4096;
+  opts.metadata_sample_every = 1024;
+  opts.collect_policy_metrics = true;
+  const SimResult a = simulate(hinted, t, opts);
+  const SimResult b = simulate(plain, t, opts);
+  EXPECT_EQ(hinted.hits(), plain.hits());
+  // contains() before an access is exactly whether that access hits.
+  EXPECT_EQ(hinted.residency(), plain.hits());
+  EXPECT_EQ(hinted.used_bytes(), plain.used_bytes());
+  EXPECT_EQ(residents(hinted), residents(plain));
+  EXPECT_FALSE(a.metrics_json.empty());
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
+  EXPECT_TRUE(deterministic_equal(a, b));
+}
+
+class ReadOnlyHints : public PolicyInvariants {};
+
+TEST_P(ReadOnlyHints, HintedTwinIsBitwiseEqual) {
+  const std::uint64_t cap = 8ULL << 20;
+  expect_hints_read_only(make_cache(GetParam(), cap),
+                         make_cache(GetParam(), cap), shared_trace());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HotPathPolicies, ReadOnlyHints,
+    ::testing::Values("S4LRU", "TinyLFU", "S4LRU-SCIP", "Orchestrator"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
+
+TEST(ReadOnlyHintsOrchestrator, SwitchingFromS4LruIsBitwiseEqual) {
+  // S4LRU live plus a short window: the hints reach the live S4LRU, all
+  // three shadows, and the experts that the hand-offs construct.
+  OrchestratorParams p;
+  p.initial = 1;
+  p.window = 256;
+  p.min_dwell_windows = 4;
+  const std::uint64_t cap = 8ULL << 20;
+  auto hinted = std::make_unique<OrchestratorCache>(cap, p);
+  auto plain = std::make_unique<OrchestratorCache>(cap, p);
+  const OrchestratorCache& h = *hinted;
+  const OrchestratorCache& q = *plain;
+  const Trace t = generate_trace(cdn_w_like(0.04));
+  expect_hints_read_only(std::move(hinted), std::move(plain), t);
+  EXPECT_GT(h.switches(), 0u);
+  EXPECT_EQ(h.switches(), q.switches());
+  EXPECT_EQ(h.live_policy(), q.live_policy());
+}
 
 }  // namespace
 }  // namespace cdn
