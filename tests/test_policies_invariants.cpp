@@ -194,10 +194,8 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> residents(
   return out;
 }
 
-void expect_hints_read_only(CachePtr hinted_inner, CachePtr plain_inner,
+void expect_hints_read_only(HintProbe& hinted, HintProbe& plain,
                             const Trace& t) {
-  HintProbe hinted(std::move(hinted_inner), true);
-  HintProbe plain(std::move(plain_inner), false);
   SimOptions opts;
   opts.window = 4096;
   opts.metadata_sample_every = 1024;
@@ -218,8 +216,9 @@ class ReadOnlyHints : public PolicyInvariants {};
 
 TEST_P(ReadOnlyHints, HintedTwinIsBitwiseEqual) {
   const std::uint64_t cap = 8ULL << 20;
-  expect_hints_read_only(make_cache(GetParam(), cap),
-                         make_cache(GetParam(), cap), shared_trace());
+  HintProbe hinted(make_cache(GetParam(), cap), true);
+  HintProbe plain(make_cache(GetParam(), cap), false);
+  expect_hints_read_only(hinted, plain, shared_trace());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -241,12 +240,11 @@ TEST(ReadOnlyHintsOrchestrator, SwitchingFromS4LruIsBitwiseEqual) {
   p.window = 256;
   p.min_dwell_windows = 4;
   const std::uint64_t cap = 8ULL << 20;
-  auto hinted = std::make_unique<OrchestratorCache>(cap, p);
-  auto plain = std::make_unique<OrchestratorCache>(cap, p);
-  const OrchestratorCache& h = *hinted;
-  const OrchestratorCache& q = *plain;
-  const Trace t = generate_trace(cdn_w_like(0.04));
-  expect_hints_read_only(std::move(hinted), std::move(plain), t);
+  HintProbe hinted(std::make_unique<OrchestratorCache>(cap, p), true);
+  HintProbe plain(std::make_unique<OrchestratorCache>(cap, p), false);
+  expect_hints_read_only(hinted, plain, generate_trace(cdn_w_like(0.04)));
+  const auto& h = dynamic_cast<const OrchestratorCache&>(hinted.inner());
+  const auto& q = dynamic_cast<const OrchestratorCache&>(plain.inner());
   EXPECT_GT(h.switches(), 0u);
   EXPECT_EQ(h.switches(), q.switches());
   EXPECT_EQ(h.live_policy(), q.live_policy());
