@@ -28,6 +28,10 @@ AdvisedLruCache::AdvisedLruCache(std::uint64_t capacity_bytes,
 
 std::string AdvisedLruCache::name() const { return advisor_->tag(); }
 
+void AdvisedLruCache::prefetch(std::uint64_t id) const noexcept {
+  prefetch_hashed(id, hash64(id));
+}
+
 void AdvisedLruCache::prefetch_hashed(std::uint64_t /*id*/,
                                       std::uint64_t h) const noexcept {
   q_.prefetch_hashed(h);

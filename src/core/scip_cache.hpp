@@ -39,9 +39,7 @@ class AdvisedLruCache final : public QueueCache, public obs::Introspectable {
 
   /// Prefetches the queue-index home slot AND the advisor's history-list
   /// slots for `id` (one hash64, shared by all of them). Advisory only.
-  void prefetch(std::uint64_t id) const noexcept override {
-    prefetch_hashed(id, hash64(id));
-  }
+  void prefetch(std::uint64_t id) const noexcept override;
   void prefetch_hashed(std::uint64_t id,
                        std::uint64_t h) const noexcept override;
 

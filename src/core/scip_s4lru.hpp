@@ -34,19 +34,6 @@ class ScipS4LruCache final : public Cache {
   [[nodiscard]] bool contains(std::uint64_t id) const override {
     return seg_.contains(id);
   }
-  [[nodiscard]] bool contains_hashed(std::uint64_t id,
-                                     std::uint64_t h) const override {
-    return seg_.contains_hashed(id, h);
-  }
-  /// Hints the segment index and the advisor's history-list slots.
-  void prefetch(std::uint64_t id) const noexcept override {
-    prefetch_hashed(id, hash64(id));
-  }
-  void prefetch_hashed(std::uint64_t /*id*/,
-                       std::uint64_t h) const noexcept override {
-    seg_.prefetch_hashed(h);
-    advisor_->prefetch_hashed(h);
-  }
   [[nodiscard]] std::uint64_t used_bytes() const override {
     return seg_.used_bytes();
   }
