@@ -1,4 +1,5 @@
-// Behavioral tests for the replacement-algorithm baselines, plus the
+// Behavioral tests for the replacement-algorithm baselines, the S4LRU
+// differential test against its four-queue reference model, and the
 // Belady-optimality property test.
 #include <gtest/gtest.h>
 
