@@ -179,7 +179,7 @@ class SegmentedQueue {
         if (s >= slab_.size() || seen[s] != 0) return false;
         seen[s] = 1;
         const Node& n = slab_[s];
-        if (n.list_ != k || n.prev_ != prev) return false;
+        if (n.list() != k || n.prev_ != prev) return false;
         const std::uint32_t* slot = index_.find(n.id);
         if (slot == nullptr || *slot != s) return false;
         bytes += n.size;
