@@ -4,15 +4,25 @@
 // pinned — not ratios. Any behavioral drift anywhere in the
 // engine (generator, RNG, queue, advisor, simulator accounting) fails
 // these loudly, which is the point: an intentional behavior change must
-// re-pin the numbers in the same commit that explains why.
+// re-pin the numbers in the same commit that explains why. The live-duel
+// rows at the bottom run at 64 MiB, where the set-dueling monitors clear
+// their size floor, and pin the duel state as well.
 //
 // The pinned values were produced by the code at the time this suite was
 // introduced; everything below is deterministic (fixed seeds, no threads,
 // no wall-clock dependence).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
 #include "core/orchestrator.hpp"
 #include "core/registry.hpp"
+#include "core/scip_cache.hpp"
+#include "core/scip_engine.hpp"
+#include "core/scip_s4lru.hpp"
+#include "policies/admission/size_bucket.hpp"
+#include "policies/insertion/dip.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 #include "trace/stressors/scenarios.hpp"
@@ -229,6 +239,106 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, StressedGoldenPolicy,
                          [](const auto& info) {
                            std::string name =
                                std::string(info.param.scenario) + "_" +
+                               info.param.policy;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
+// ------------------------------------------------ live-duel masters --
+//
+// At kCapacity every duel monitor is 256 KiB, under the 2 MiB
+// monitor_min_bytes floor, so SCIP's and SB-LRU's duels are switched off in
+// all the rows above (SB-LRU is plain LRU there). At 64 MiB the monitors
+// are 2 MiB and every duel runs: SCIP's miss and promotion duels, SB-LRU's
+// four size-bucket duels and DIP's MRU-vs-BIP duel. Hits alone barely see
+// a duel (SCIP's golden hits are the same with monitors on and off), so
+// these rows pin the duel state too:
+//   SCIP, SCI, S4LRU-SCIP: {psel_miss, psel_prom, miss_duel_feeds,
+//                           prom_duel_feeds}
+//   SB-LRU:                {psel(0), psel(1), psel(2), psel(3)}
+//   DIP:                   {bip_winning, 0, 0, 0}
+
+constexpr std::uint64_t kDuelCapacity = 64ULL << 20;
+
+struct DuelGolden {
+  const char* trace;  ///< "golden", "flash" or "drift"
+  const char* policy;
+  std::uint64_t hits;
+  std::uint64_t bytes_hit;
+  std::array<std::int64_t, 4> state;
+};
+
+constexpr DuelGolden kDuelGolden[] = {
+    {"golden", "SCIP", 20'153u, 194'865'670u, {44, 73, 3122, 1941}},
+    {"golden", "SCI", 20'152u, 194'880'936u, {44, 73, 3122, 1941}},
+    {"golden", "S4LRU-SCIP", 19'021u, 183'788'899u, {44, 73, 3122, 1941}},
+    {"golden", "SB-LRU", 20'272u, 195'762'767u, {-256, -29, -1, 0}},
+    {"golden", "DIP", 20'272u, 195'762'767u, {0, 0, 0, 0}},
+    {"flash", "SCIP", 10'780u, 426'220'669u, {-17, 61, 2004, 1281}},
+    {"flash", "SCI", 10'781u, 426'297'163u, {-17, 61, 2004, 1281}},
+    {"flash", "S4LRU-SCIP", 10'629u, 410'280'535u, {-17, 61, 2004, 1281}},
+    {"flash", "SB-LRU", 10'810u, 427'622'195u, {-170, -158, 10, 0}},
+    {"flash", "DIP", 10'780u, 421'408'217u, {1, 0, 0, 0}},
+    {"drift", "SCIP", 6'324u, 244'551'997u, {-18, 39, 1432, 1220}},
+    {"drift", "SCI", 6'318u, 244'383'357u, {-18, 39, 1432, 1220}},
+    {"drift", "S4LRU-SCIP", 5'541u, 199'227'697u, {-18, 39, 1432, 1220}},
+    {"drift", "SB-LRU", 6'368u, 247'416'491u, {-9, -55, 6, 0}},
+    {"drift", "DIP", 5'749u, 216'396'325u, {1, 0, 0, 0}},
+};
+
+const Trace& duel_trace(const std::string& name) {
+  return name == "golden" ? golden_trace() : stressed_trace(name);
+}
+
+std::array<std::int64_t, 4> scip_state(const ScipAdvisor& a) {
+  return {a.psel_miss(), a.psel_prom(),
+          static_cast<std::int64_t>(a.miss_duel_feeds()),
+          static_cast<std::int64_t>(a.prom_duel_feeds())};
+}
+
+class DuelGoldenPolicy : public ::testing::TestWithParam<DuelGolden> {};
+
+TEST_P(DuelGoldenPolicy, ExactCountersAndDuelStateMatch) {
+  const DuelGolden& g = GetParam();
+  const Trace& t = duel_trace(g.trace);
+  const std::string policy = g.policy;
+  CachePtr cache = make_cache(policy, kDuelCapacity);
+  const auto res = simulate(*cache, t, golden_options());
+  EXPECT_EQ(res.hits, g.hits) << "object hits drifted";
+  EXPECT_EQ(res.bytes_hit, g.bytes_hit) << "byte hits drifted";
+
+  std::array<std::int64_t, 4> state{};
+  if (policy == "S4LRU-SCIP") {
+    // The registry cache does not expose its advisor, so rebuild it the
+    // way make_s4lru_scip does (advisor seed 1 ^ 0x545c) and check that
+    // the rebuild replays bitwise like the registry cache.
+    ScipParams p;
+    p.seed = 1 ^ 0x545c;
+    auto adv = std::make_shared<ScipAdvisor>(kDuelCapacity, p);
+    ScipS4LruCache rebuilt(kDuelCapacity, adv);
+    EXPECT_TRUE(
+        deterministic_equal(simulate(rebuilt, t, golden_options()), res));
+    state = scip_state(*adv);
+  } else if (auto* advised = dynamic_cast<AdvisedLruCache*>(cache.get())) {
+    state = scip_state(dynamic_cast<ScipAdvisor&>(advised->advisor()));
+  } else if (auto* sb = dynamic_cast<SizeBucketLruCache*>(cache.get())) {
+    ASSERT_TRUE(sb->duel_enabled());
+    for (int b = 0; b < SizeBucketLruCache::kBuckets; ++b) {
+      state[static_cast<std::size_t>(b)] = sb->psel(b);
+    }
+  } else {
+    state[0] = dynamic_cast<DipCache&>(*cache).bip_winning();
+  }
+  EXPECT_EQ(state, g.state) << "duel state drifted";
+}
+
+INSTANTIATE_TEST_SUITE_P(LiveDuels, DuelGoldenPolicy,
+                         ::testing::ValuesIn(kDuelGolden),
+                         [](const auto& info) {
+                           std::string name =
+                               std::string(info.param.trace) + "_" +
                                info.param.policy;
                            for (char& c : name) {
                              if (c == '-') c = '_';
