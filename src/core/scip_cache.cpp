@@ -1,20 +1,10 @@
 #include "core/scip_cache.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/scip_engine.hpp"
 
 namespace cdn {
-
-namespace {
-// Pre-reserve hint for the resident-set slab/index: ~4KiB objects,
-// capped for pathological capacities. Layout-only warm-up smoothing.
-std::size_t reserve_hint(std::uint64_t capacity_bytes) {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(capacity_bytes / 4096 + 1, 1ULL << 16));
-}
-}  // namespace
 
 AdvisedLruCache::AdvisedLruCache(std::uint64_t capacity_bytes,
                                  std::shared_ptr<InsertionAdvisor> advisor)

@@ -15,15 +15,6 @@ std::uint64_t monitor_capacity(std::uint64_t cache_capacity,
                                const ScipParams& p) {
   return std::max<std::uint64_t>(cache_capacity >> p.monitor_cap_shift, 1);
 }
-// Pre-reserve hint for slabs/indexes sized in bytes: assume ~4KiB objects
-// (conservative for CDN traces), capped so pathological capacities (the
-// boundary tests construct advisors at 2^63 bytes) don't balloon memory.
-// Layout-only — the free-listed slabs grow on demand either way; this just
-// moves the handful of warm-up reallocations to construction time.
-std::size_t reserve_hint(std::uint64_t capacity_bytes) {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(capacity_bytes / 4096 + 1, 1ULL << 16));
-}
 }  // namespace
 
 std::uint64_t ScipAdvisor::history_list_capacity(
@@ -38,36 +29,6 @@ std::uint64_t ScipAdvisor::history_list_capacity(
   return std::max<std::uint64_t>(scaled, 1);
 }
 
-ScipAdvisor::ShadowMonitor::ShadowMonitor(std::uint64_t capacity, Mode mode)
-    : capacity_(capacity), mode_(mode) {
-  q_.reserve(reserve_hint(capacity));
-}
-
-ScipAdvisor::ShadowMonitor::Outcome ScipAdvisor::ShadowMonitor::access(
-    const Request& req, std::uint64_t h) {
-  if (LruQueue::Node* n = q_.find_hashed(req.id, h)) {
-    ++n->hits;
-    if (mode_ == Mode::kDemoteOnHit && n->hits == 1) {
-      // Conservative P-ZRO expert: a first residency hit is consistent
-      // with a dying pair; a second hit proves liveness.
-      q_.demote_lru(*n);
-    } else {
-      q_.touch_mru(*n);
-    }
-    return Outcome::kHit;
-  }
-  if (req.size > capacity_) return Outcome::kExcluded;
-  while (q_.used_bytes() + req.size > capacity_ && !q_.empty()) q_.pop_lru();
-  // The "LRU arm" is BIP (epsilon = 1/32 of misses still enter at MRU),
-  // matching what the main cache executes when the duel favors it.
-  if (mode_ == Mode::kBipInsert && !bip_rng_.chance(1.0 / 32.0)) {
-    q_.insert_lru_hashed(req.id, req.size, h);
-  } else {
-    q_.insert_mru_hashed(req.id, req.size, h);
-  }
-  return Outcome::kMiss;
-}
-
 ScipAdvisor::ScipAdvisor(std::uint64_t cache_capacity, ScipParams params)
     : params_(params),
       lr_(params.lr),
@@ -75,24 +36,22 @@ ScipAdvisor::ScipAdvisor(std::uint64_t cache_capacity, ScipParams params)
       w_prom_(0.95),
       hm_(half_capacity(cache_capacity, params)),
       hl_(half_capacity(cache_capacity, params)),
-      mon_mru_(monitor_capacity(cache_capacity, params),
-               ShadowMonitor::Mode::kMruInsert),
-      mon_lip_(monitor_capacity(cache_capacity, params),
-               ShadowMonitor::Mode::kBipInsert),
-      mon_mru_prom_(monitor_capacity(cache_capacity, params),
-                    ShadowMonitor::Mode::kMruInsert),
-      mon_demote_(monitor_capacity(cache_capacity, params),
-                  ShadowMonitor::Mode::kDemoteOnHit),
+      // Neutral miss prior (the duel resolves within a few thousand
+      // requests); MRU-favoring promotion prior — demotion must prove
+      // itself first.
+      miss_duel_(monitor_capacity(cache_capacity, params),
+                 duel::Expert::kMruInsert, duel::Expert::kBipInsert,
+                 {params.monitor_slice_shift, 0, 0}, {params.psel_max, 0, -1}),
+      prom_duel_(monitor_capacity(cache_capacity, params),
+                 duel::Expert::kMruInsert, duel::Expert::kDemoteOnHit,
+                 {params.monitor_slice_shift, params.monitor_slice_shift, 0},
+                 {params.prom_psel_max, params.prom_psel_max, -1}),
       rng_(params.seed) {
   if (monitor_capacity(cache_capacity, params) < params.monitor_min_bytes) {
     params_.use_monitors = false;
   }
   hm_.reserve(reserve_hint(hm_.capacity()));
   hl_.reserve(reserve_hint(hl_.capacity()));
-  // Neutral miss prior (the duel resolves within a few thousand requests);
-  // MRU-favoring promotion prior — demotion must prove itself first.
-  psel_miss_ = 0;
-  psel_prom_ = params_.prom_psel_max;
   update_weights_from_psel();
 }
 
@@ -103,10 +62,10 @@ void ScipAdvisor::update_weights_from_psel() {
   // executes the duel winner: pure MRU insertion, or BIP (epsilon of
   // misses still MRU) when LRU insertion wins; promotions demote with a
   // small residual epsilon when demotion wins.
-  w_miss_ = psel_miss_ >= params_.miss_threshold
+  w_miss_ = miss_duel_.psel() >= params_.miss_threshold
                 ? 1.0
                 : params_.miss_weight_floor;
-  w_prom_ = psel_prom_ >= params_.prom_threshold ? 1.0 : 0.05;
+  w_prom_ = prom_duel_.psel() >= params_.prom_threshold ? 1.0 : 0.05;
 }
 
 void ScipAdvisor::sample_metrics(obs::MetricRegistry& reg) {
@@ -122,8 +81,8 @@ void ScipAdvisor::sample_metrics(obs::MetricRegistry& reg) {
   reg.series("scip.hl_objects").push(static_cast<double>(hl_.count()));
   reg.series("scip.hm_bytes").push(static_cast<double>(hm_.used_bytes()));
   reg.series("scip.hl_bytes").push(static_cast<double>(hl_.used_bytes()));
-  reg.series("scip.psel_miss").push(static_cast<double>(psel_miss_));
-  reg.series("scip.psel_prom").push(static_cast<double>(psel_prom_));
+  reg.series("scip.psel_miss").push(static_cast<double>(psel_miss()));
+  reg.series("scip.psel_prom").push(static_cast<double>(psel_prom()));
   const std::uint64_t dec = prom_decisions_ - sampled_prom_decisions_;
   const std::uint64_t dem = prom_demotions_ - sampled_prom_demotions_;
   reg.series("scip.window_demotion_fraction")
@@ -132,8 +91,8 @@ void ScipAdvisor::sample_metrics(obs::MetricRegistry& reg) {
   sampled_prom_demotions_ = prom_demotions_;
 
   reg.counter("scip.overrides").raise_to(overrides_);
-  reg.counter("scip.miss_duel_feeds").raise_to(miss_duel_feeds_);
-  reg.counter("scip.prom_duel_feeds").raise_to(prom_duel_feeds_);
+  reg.counter("scip.miss_duel_feeds").raise_to(miss_duel_feeds());
+  reg.counter("scip.prom_duel_feeds").raise_to(prom_duel_feeds());
   reg.counter("scip.miss_mru_inserts").raise_to(miss_mru_inserts_);
   reg.counter("scip.miss_lru_inserts").raise_to(miss_lru_inserts_);
   reg.counter("scip.prom_decisions").raise_to(prom_decisions_);
@@ -143,38 +102,35 @@ void ScipAdvisor::sample_metrics(obs::MetricRegistry& reg) {
 }
 
 std::uint64_t ScipAdvisor::fixed_state_bytes() noexcept {
-  // The advisor's fixed scalar state: learned weights, duel counters, the
-  // Algorithm-2 lambda adapter, the decision RNG, and the one-shot
-  // per-object override latch. Derived from the member types so a field
-  // added to any of them flows into the resource-accounting columns
-  // automatically — the hand-counted 96 this replaces could not.
+  // The advisor's fixed scalar state: learned weights, the Algorithm-2
+  // lambda adapter, the decision RNG, and the one-shot per-object override
+  // latch (the duel counters live in the duels). Derived from the member
+  // types so a field added to any of them flows into the resource-
+  // accounting columns automatically — the hand-counted 96 this replaces
+  // could not.
   return sizeof(double) * 2                    // w_miss_, w_prom_
-         + sizeof(int) * 2                     // psel_miss_, psel_prom_
          + sizeof(ml::AdaptiveLearningRate)    // lr_
          + sizeof(Rng)                         // rng_
          + sizeof(int) + sizeof(std::uint64_t);  // pending override latch
 }
 
 std::uint64_t ScipAdvisor::monitor_fixed_bytes() noexcept {
-  // Whole-object footprint of one shadow monitor minus its queue's
-  // per-entry storage (charged separately, per live entry): capacity, mode,
-  // BIP RNG, and the queue's container headers.
-  return sizeof(ShadowMonitor);
+  // Whole-object footprint of one duel arm minus its queue's per-entry
+  // storage (charged separately, per live entry).
+  return sizeof(duel::Arm);
 }
 
 std::uint64_t ScipAdvisor::metadata_bytes() const {
   // Report only live structures. The history lists and the advisor's fixed
-  // scalar state always exist; the four shadow monitors and their fixed
-  // per-monitor state only count when the duels are enabled — the
-  // constructor disables them below monitor_min_bytes, and charging
-  // disabled monitors inflated the resource-accounting columns for exactly
-  // the small caches where metadata overhead matters most.
+  // scalar state always exist; the two duels (four arms and two counters)
+  // only count when they are enabled — the constructor disables them below
+  // monitor_min_bytes, and charging disabled monitors inflated the
+  // resource-accounting columns for exactly the small caches where
+  // metadata overhead matters most.
   std::uint64_t total =
       hm_.metadata_bytes() + hl_.metadata_bytes() + fixed_state_bytes();
   if (params_.use_monitors) {
-    total += mon_mru_.metadata_bytes() + mon_lip_.metadata_bytes() +
-             mon_mru_prom_.metadata_bytes() + mon_demote_.metadata_bytes() +
-             4 * monitor_fixed_bytes();
+    total += miss_duel_.metadata_bytes() + prom_duel_.metadata_bytes();
   }
   return total;
 }

@@ -18,12 +18,13 @@
 //
 //  2. Shadow-monitor duels (§1: "the probability of insertion position is
 //     adjusted based on hit rates in the shadow caches") — global
-//     probabilities. Three sampled shadow monitors (1/32-scale caches fed
-//     by disjoint 1/32 hash slices of the traffic) run the pure experts:
-//     MRU-insertion, LRU-insertion, and MRU-insertion-with-LRU-demotion-
-//     on-hit. Saturating counters of their relative misses set the ambient
-//     execution probabilities w_m (miss insertions) and w_p (promotions),
-//     exactly the set-dueling estimator DIP made standard — the paired
+//     probabilities. Two duel::Selector duels (sim/duel.hpp), each two
+//     sampled arms on 1/64 hash slices at 1/32 capacity, run the pure
+//     experts: MRU-insertion vs BIP-insertion, and MRU-insertion vs
+//     MRU-insertion-with-LRU-demotion-on-hit. Their saturating counters set
+//     the ambient execution probabilities w_m (miss insertions) and w_p
+//     (promotions), exactly the set-dueling estimator DIP made standard —
+//     the paired
 //     comparison is what makes the learned probability robust to workload
 //     non-stationarity, where sequential hill climbing on the global hit
 //     rate cannot attribute changes to the knob (see DESIGN.md §5 for why
@@ -41,8 +42,8 @@
 #include "ml/mab.hpp"
 #include "obs/introspect.hpp"
 #include "sim/advisor.hpp"
+#include "sim/duel.hpp"
 #include "sim/ghost_list.hpp"
-#include "sim/lru_queue.hpp"
 
 namespace cdn {
 
@@ -164,10 +165,10 @@ class ScipAdvisor : public InsertionAdvisor, public obs::Introspectable {
   /// Each duel must see a 2 * 2^-monitor_slice_shift traffic fraction; the
   /// slicing regression test asserts this against an independent recount.
   [[nodiscard]] std::uint64_t miss_duel_feeds() const noexcept {
-    return miss_duel_feeds_;
+    return miss_duel_.feeds();
   }
   [[nodiscard]] std::uint64_t prom_duel_feeds() const noexcept {
-    return prom_duel_feeds_;
+    return prom_duel_.feeds();
   }
   /// Executed insertion decisions by position (misses that were admitted).
   [[nodiscard]] std::uint64_t miss_mru_inserts() const noexcept {
@@ -186,35 +187,10 @@ class ScipAdvisor : public InsertionAdvisor, public obs::Introspectable {
   }
   /// Duel counter levels (regression tests for the duel-exclusion rule:
   /// structurally-unadmittable objects must not move these).
-  [[nodiscard]] int psel_miss() const noexcept { return psel_miss_; }
-  [[nodiscard]] int psel_prom() const noexcept { return psel_prom_; }
+  [[nodiscard]] int psel_miss() const noexcept { return miss_duel_.psel(); }
+  [[nodiscard]] int psel_prom() const noexcept { return prom_duel_.psel(); }
 
  private:
-  /// A 1/2^shift-scale cache fed one hash slice, running one pure expert.
-  class ShadowMonitor {
-   public:
-    enum class Mode { kMruInsert, kBipInsert, kDemoteOnHit };
-    /// kExcluded: the object is structurally unadmittable at monitor scale
-    /// (size > monitor capacity, though it may fit the main cache fine).
-    /// Such accesses are guaranteed misses in EVERY monitor regardless of
-    /// its expert, so they carry zero evidence about insertion policy —
-    /// the duel counters must not move on them.
-    enum class Outcome { kHit, kMiss, kExcluded };
-    ShadowMonitor(std::uint64_t capacity, Mode mode);
-    Outcome access(const Request& req, std::uint64_t h);
-    [[nodiscard]] std::uint64_t metadata_bytes() const {
-      return q_.metadata_bytes();
-    }
-
-   private:
-    friend class ScipAdvisor;  // for monitor_fixed_bytes()
-
-    std::uint64_t capacity_;
-    Mode mode_;
-    LruQueue q_;
-    Rng bip_rng_{0xb1b0};
-  };
-
   void update_weights_from_psel();
 
   ScipParams params_;
@@ -223,28 +199,21 @@ class ScipAdvisor : public InsertionAdvisor, public obs::Introspectable {
   double w_prom_;
   GhostList hm_;
   GhostList hl_;
-  // Miss duel: 1/64 slices into 1/32-capacity monitors (the DIP ratio).
-  ShadowMonitor mon_mru_;
-  ShadowMonitor mon_lip_;
-  // Promotion duel: identical slicing (1/64 slices into 1/32 capacity,
-  // drawn from the next, disjoint block of hash bits) so both duels enjoy
-  // the same 2x relative-capacity de-noising and their evidence is
-  // statistically comparable. An earlier revision masked this slice with
-  // monitor_cap_shift (1/32 slices), silently biasing the P-ZRO demotion
-  // decision — the audit/differential harness exists to catch that class
-  // of accounting bug mechanically.
-  ShadowMonitor mon_mru_prom_;
-  ShadowMonitor mon_demote_;
-  int psel_miss_ = 0;  ///< >0 favors MRU insertion
-  int psel_prom_ = 0;  ///< >0 favors MRU promotion
+  // Miss duel (MRU vs BIP, psel > 0 favors MRU) on hash bits
+  // [0, monitor_slice_shift). The promotion duel (MRU vs demote-on-hit,
+  // psel > 0 favors MRU) slices identically from the next, disjoint block
+  // of bits, so both enjoy the same 2x relative-capacity de-noising and
+  // their evidence is statistically comparable. An earlier revision masked
+  // the promotion slice with monitor_cap_shift (1/32 slices), silently
+  // biasing the P-ZRO demotion decision.
+  duel::Selector miss_duel_;
+  duel::Selector prom_duel_;
   Rng rng_;
   // One-shot per-object override armed by on_miss for the object about to
   // be inserted: +1 force MRU, -1 force LRU, 0 none.
   int pending_override_ = 0;
   std::uint64_t pending_override_id_ = 0;
   std::uint64_t overrides_ = 0;
-  std::uint64_t miss_duel_feeds_ = 0;
-  std::uint64_t prom_duel_feeds_ = 0;
   std::uint64_t miss_mru_inserts_ = 0;
   std::uint64_t miss_lru_inserts_ = 0;
   std::uint64_t prom_decisions_ = 0;
@@ -338,60 +307,14 @@ inline void ScipAdvisor::on_evict_hashed(std::uint64_t id, std::uint64_t size,
 
 inline void ScipAdvisor::on_request_hashed(const Request& req, bool hit,
                                            std::uint64_t h) {
-  // Feed the shadow-monitor duels from disjoint 1/2^shift traffic slices.
+  // Feed both duels. The weights are a pure bimodal function of the
+  // counters, so they are recomputed only when a counter took a vote — not
+  // on every monitored request, for a result that changes at most twice
+  // per duel swing.
   if (params_.use_monitors) {
-    using Outcome = ShadowMonitor::Outcome;
-    const std::uint64_t miss_slice =
-        h & ((1ULL << params_.monitor_slice_shift) - 1);
-    // kExcluded outcomes (object can't fit the 1/32-scale monitor at all)
-    // leave the duel counters alone: the miss is structural, not evidence
-    // about the arm's insertion policy. Before this rule such objects
-    // pushed psel toward whichever arm their hash slice happened to feed.
-    bool psel_moved = false;
-    if (miss_slice == 0) {
-      if (mon_mru_.access(req, h) == Outcome::kMiss) {
-        --psel_miss_;
-        psel_moved = true;
-      }
-    } else if (miss_slice == 1) {
-      if (mon_lip_.access(req, h) == Outcome::kMiss) {
-        ++psel_miss_;
-        psel_moved = true;
-      }
-    }
-    // The promotion duel slices with monitor_slice_shift, exactly like the
-    // miss duel, from the next (disjoint) block of hash bits. Masking with
-    // monitor_cap_shift here once fed each promotion monitor a 1/32 traffic
-    // slice into a 1/32-capacity cache, silently dropping the documented 2x
-    // relative capacity and biasing the P-ZRO demotion evidence.
-    const std::uint64_t prom_slice =
-        (h >> params_.monitor_slice_shift) &
-        ((1ULL << params_.monitor_slice_shift) - 1);
-    if (miss_slice <= 1) ++miss_duel_feeds_;
-    if (prom_slice <= 1) ++prom_duel_feeds_;
-    if (prom_slice == 0) {
-      if (mon_mru_prom_.access(req, h) == Outcome::kMiss) {
-        --psel_prom_;
-        psel_moved = true;
-      }
-    } else if (prom_slice == 1) {
-      if (mon_demote_.access(req, h) == Outcome::kMiss) {
-        ++psel_prom_;
-        psel_moved = true;
-      }
-    }
-    // The weights are a pure bimodal function of the clamped counters, so
-    // recomputing them is only meaningful when a counter actually moved —
-    // previously both ran on every monitored request (~every request on
-    // the replay hot path) for a result that changes at most twice per
-    // duel swing.
-    if (psel_moved) {
-      psel_miss_ =
-          std::clamp(psel_miss_, -params_.psel_max, params_.psel_max);
-      psel_prom_ = std::clamp(psel_prom_, -params_.prom_psel_max,
-                              params_.prom_psel_max);
-      update_weights_from_psel();
-    }
+    const bool miss_voted = miss_duel_.feed(req, h);
+    const bool prom_voted = prom_duel_.feed(req, h);
+    if (miss_voted || prom_voted) update_weights_from_psel();
   }
 
   // Algorithm 2: adapt lambda (the evidence-nudge magnitude) on the window

@@ -1,7 +1,5 @@
 #include "policies/admission/size_bucket.hpp"
 
-#include <algorithm>
-
 namespace cdn {
 
 SizeBucketLruCache::SizeBucketLruCache(std::uint64_t capacity_bytes,
@@ -9,59 +7,22 @@ SizeBucketLruCache::SizeBucketLruCache(std::uint64_t capacity_bytes,
     : QueueCache(capacity_bytes),
       params_(params),
       rng_(params.seed) {
-  const std::uint64_t mon_cap =
+  const std::uint64_t arm_cap =
       capacity_bytes >> static_cast<unsigned>(params_.cap_shift);
-  // The duel needs 2 * kBuckets disjoint slices and monitors big enough to
+  // The duel needs 2 * kBuckets disjoint slices and arms big enough to
   // produce signal; otherwise degrade to plain LRU (deterministically).
-  enabled_ = mon_cap >= params_.monitor_min_bytes &&
+  enabled_ = arm_cap >= params_.monitor_min_bytes &&
              (1ULL << static_cast<unsigned>(params_.slice_shift)) >=
                  2ULL * kBuckets;
-  if (enabled_) {
-    monitors_.resize(2 * kBuckets);
-    for (int b = 0; b < kBuckets; ++b) {
-      for (int a = 0; a < 2; ++a) {
-        Monitor& m = monitors_[static_cast<std::size_t>(2 * b + a)];
-        m.capacity = mon_cap;
-        m.bucket = b;
-        m.bypass_own = a == 1;
-      }
-    }
-  }
-}
-
-SizeBucketLruCache::Monitor::Outcome SizeBucketLruCache::Monitor::access(
-    const Request& req, std::uint64_t h) {
-  // Structurally unadmittable at monitor scale: a guaranteed miss in BOTH
-  // arms, zero evidence about the admission policy (see scip_engine.hpp).
-  if (req.size > capacity) return Outcome::kExcluded;
-  if (LruQueue::Node* n = q.find_hashed(req.id, h)) {
-    q.touch_mru(*n);
-    return Outcome::kHit;
-  }
-  if (bypass_own && bucket_of(req.size) == bucket) return Outcome::kMiss;
-  while (!q.empty() && q.used_bytes() + req.size > capacity) {
-    (void)q.pop_lru();
-  }
-  q.insert_mru_hashed(req.id, req.size, h);
-  return Outcome::kMiss;
-}
-
-void SizeBucketLruCache::feed_duel(const Request& req, std::uint64_t h) {
-  const std::uint64_t slice =
-      h & ((1ULL << static_cast<unsigned>(params_.slice_shift)) - 1);
-  if (slice >= monitors_.size()) return;
-  Monitor& m = monitors_[slice];
-  const auto outcome = m.access(req, h);
-  if (outcome != Monitor::Outcome::kMiss) return;
-  // Misses move the owning bucket's counter only when the missing object
-  // IS of that bucket: on any other size class the two arms are the same
-  // policy, so the miss carries no admit-vs-bypass evidence.
-  if (bucket_of(req.size) != m.bucket) return;
-  int& p = psel_[static_cast<std::size_t>(m.bucket)];
-  if (m.bypass_own) {
-    p = std::max(p - 1, -params_.psel_max);  // refusing the class lost a hit
-  } else {
-    p = std::min(p + 1, params_.psel_max);  // admitting it wasted space
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const duel::SizeRange bucket{
+        kBucketFloor[b],
+        b + 1 < kBuckets ? kBucketFloor[b + 1] - 1 : duel::SizeRange{}.hi};
+    duels_.emplace_back(arm_cap, duel::Expert::kMruInsert,
+                        duel::Expert::kRefuseClass,
+                        duel::Selector::Slices{params_.slice_shift, 0, 2 * b},
+                        duel::Selector::Counter{params_.psel_max, 0, +1},
+                        bucket);
   }
 }
 
@@ -71,7 +32,9 @@ bool SizeBucketLruCache::access(const Request& req) {
 
 bool SizeBucketLruCache::access_hashed(const Request& req, std::uint64_t h) {
   ++tick_;
-  if (enabled_) feed_duel(req, h);
+  if (enabled_) {
+    for (duel::Selector& d : duels_) d.feed(req, h);
+  }
   if (LruQueue::Node* n = q_.find_hashed(req.id, h)) {
     ++n->hits;
     n->last_tick = tick_;
@@ -80,8 +43,7 @@ bool SizeBucketLruCache::access_hashed(const Request& req, std::uint64_t h) {
   }
   if (!fits(req.size)) return false;
   const int b = bucket_of(req.size);
-  if (enabled_ && psel_[static_cast<std::size_t>(b)] >=
-                      params_.bypass_threshold &&
+  if (enabled_ && psel(b) >= params_.bypass_threshold &&
       !rng_.chance(params_.epsilon)) {
     ++bypasses_[static_cast<std::size_t>(b)];
     return false;
@@ -94,16 +56,18 @@ bool SizeBucketLruCache::access_hashed(const Request& req, std::uint64_t h) {
 }
 
 std::uint64_t SizeBucketLruCache::metadata_bytes() const {
-  std::uint64_t total = q_.metadata_bytes();
-  for (const Monitor& m : monitors_) total += m.metadata_bytes();
+  std::uint64_t total =
+      q_.metadata_bytes() + sizeof(admissions_) + sizeof(bypasses_);
+  if (enabled_) {
+    for (const duel::Selector& d : duels_) total += d.metadata_bytes();
+  }
   return total;
 }
 
 void SizeBucketLruCache::sample_metrics(obs::MetricRegistry& reg) {
   for (int b = 0; b < kBuckets; ++b) {
     const std::string prefix = "sblru.b" + std::to_string(b);
-    reg.series(prefix + "_psel")
-        .push(static_cast<double>(psel_[static_cast<std::size_t>(b)]));
+    reg.series(prefix + "_psel").push(static_cast<double>(psel(b)));
     reg.counter(prefix + "_admissions")
         .raise_to(admissions_[static_cast<std::size_t>(b)]);
     reg.counter(prefix + "_bypasses")

@@ -2,31 +2,29 @@
 // decision is learned *per size class* with SCIP's set-dueling machinery.
 //
 // Objects are classed into four log-spaced size buckets (< 16 KiB,
-// < 256 KiB, < 4 MiB, >= 4 MiB). Each bucket owns a pair of ShadowMonitor-
-// pattern shadow caches on disjoint hash slices of the request stream
-// (scip_engine.hpp): an ADMIT arm that caches everything its slice sends,
-// and a BYPASS arm identical except that it refuses the duel's own bucket.
-// A miss in the admit arm is evidence that admitting this size class wastes
+// < 256 KiB, < 4 MiB, >= 4 MiB). Each bucket owns one duel::Selector duel
+// (sim/duel.hpp): an ADMIT arm that caches everything its slice sends, and
+// a BYPASS arm identical except that it refuses the bucket's size class.
+// A miss in the admit arm is evidence that admitting the class wastes
 // space (+1 on the bucket's saturating psel); a miss in the bypass arm is
-// evidence that refusing it loses hits (-1). When psel crosses the
-// threshold, the live cache bypasses misses of that bucket — except for a
-// BIP-style epsilon of admissions that keeps the class observable so a shift
-// in the workload can rehabilitate it.
+// evidence that refusing it loses hits (-1). Only misses of the bucket's
+// own class vote (on other classes the two arms are the same policy), and
+// objects larger than an arm never vote. When psel crosses the threshold,
+// the live cache bypasses misses of that bucket — except for a BIP-style
+// epsilon of admissions that keeps the class observable so a shift in the
+// workload can rehabilitate it.
 //
-// Slicing follows SCIP's monitor_slice_shift discipline: arm (b, a) owns
-// slice 2b+a of the 2^slice_shift hash slices, monitors get capacity
-// >> cap_shift (slice 1/64, capacity 1/32 — double relative capacity for
-// de-noising), and objects larger than a monitor are kExcluded: they miss
-// in every arm regardless of policy, so they carry no evidence and must
-// not move psel. Below `monitor_min_bytes` of monitor capacity the duel is
-// disabled and SB-LRU degrades to plain LRU.
+// Slicing follows SCIP's monitor discipline: arm (b, a) owns slice 2b+a of
+// the 2^slice_shift hash slices at capacity >> cap_shift. Below
+// `monitor_min_bytes` of arm capacity the duel is disabled and SB-LRU
+// degrades to plain LRU.
 #pragma once
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "obs/introspect.hpp"
+#include "sim/duel.hpp"
 #include "sim/queue_cache.hpp"
 #include "util/rng.hpp"
 
@@ -34,7 +32,7 @@ namespace cdn {
 
 struct SizeBucketParams {
   int slice_shift = 6;  ///< each arm samples 2^-6 of traffic
-  int cap_shift = 5;    ///< monitors run at capacity >> 5
+  int cap_shift = 5;    ///< arms run at capacity >> 5
   std::uint64_t monitor_min_bytes = 2ULL << 20;  ///< duel floor (SCIP's)
   int psel_max = 256;          ///< saturation bound (both signs)
   int bypass_threshold = 64;   ///< psel >= this: bypass the bucket
@@ -54,17 +52,22 @@ class SizeBucketLruCache final : public QueueCache, public obs::Introspectable {
   bool access_hashed(const Request& req, std::uint64_t h) override;
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
 
+  /// Smallest size of each class.
+  static constexpr std::array<std::uint64_t, kBuckets> kBucketFloor = {
+      0, 16ULL << 10, 256ULL << 10, 4ULL << 20};
+
   /// Log-spaced size class: 0 for < 16 KiB, 1 for < 256 KiB, 2 for < 4 MiB,
   /// 3 otherwise.
   [[nodiscard]] static int bucket_of(std::uint64_t size) noexcept {
-    if (size < (16ULL << 10)) return 0;
-    if (size < (256ULL << 10)) return 1;
-    if (size < (4ULL << 20)) return 2;
-    return 3;
+    int b = kBuckets - 1;
+    while (size < kBucketFloor[static_cast<std::size_t>(b)]) --b;
+    return b;
   }
 
   [[nodiscard]] bool duel_enabled() const noexcept { return enabled_; }
-  [[nodiscard]] int psel(int bucket) const { return psel_.at(bucket); }
+  [[nodiscard]] int psel(int bucket) const {
+    return duels_.at(static_cast<std::size_t>(bucket)).psel();
+  }
   [[nodiscard]] std::uint64_t admissions(int bucket) const {
     return admissions_.at(bucket);
   }
@@ -76,27 +79,11 @@ class SizeBucketLruCache final : public QueueCache, public obs::Introspectable {
   void sample_metrics(obs::MetricRegistry& reg) override;
 
  private:
-  /// One sampled shadow arm (admit-all or bypass-own-bucket LRU).
-  struct Monitor {
-    std::uint64_t capacity = 0;
-    int bucket = 0;
-    bool bypass_own = false;
-    LruQueue q;
-
-    enum class Outcome { kHit, kMiss, kExcluded };
-    Outcome access(const Request& req, std::uint64_t h);
-    [[nodiscard]] std::uint64_t metadata_bytes() const {
-      return q.metadata_bytes();
-    }
-  };
-
-  void feed_duel(const Request& req, std::uint64_t h);
-
   SizeBucketParams params_;
   bool enabled_ = false;
-  /// 2 * kBuckets arms; arm (b, a) at index 2b+a owns hash slice 2b+a.
-  std::vector<Monitor> monitors_;
-  std::array<int, kBuckets> psel_{};  ///< >0 favors bypassing the bucket
+  /// One duel per bucket; bucket b's arms own hash slices 2b and 2b+1.
+  /// psel > 0 favors bypassing the bucket.
+  std::vector<duel::Selector> duels_;
   std::array<std::uint64_t, kBuckets> admissions_{};
   std::array<std::uint64_t, kBuckets> bypasses_{};
   Rng rng_;

@@ -2,15 +2,17 @@
 //
 // DIP set-duels LRU(MRU-insertion) against BIP and lets the winner steer
 // the main cache. Hardware DIP dedicates leader *sets*; an object cache has
-// no sets, so we use the standard sampling adaptation: two small monitor
-// caches (1/32 of the capacity each) receive the sampled request slices
-// hash(id) % 64 == 0 and == 1, one running MRU-insertion, one BIP. A
-// saturating policy-selector counter (PSEL) counts their misses against
-// each other and the full-size main cache follows the current winner.
+// no sets, so we use the standard sampling adaptation: one duel::Selector
+// duel (sim/duel.hpp) whose two arms (1/32 of the capacity each) receive
+// the sampled request slices hash(id) % 64 == 0 and == 1, one running
+// MRU-insertion, one BIP. Its saturating policy-selector counter (PSEL)
+// counts their misses against each other and the full-size main cache
+// follows the current winner. Unlike SCIP's and SB-LRU's duels, an object
+// too large for the arms still votes as a miss: the published DIP has no
+// notion of object size.
 #pragma once
 
-#include "policies/insertion/bip.hpp"
-#include "policies/replacement/lru.hpp"
+#include "sim/duel.hpp"
 #include "sim/queue_cache.hpp"
 #include "util/rng.hpp"
 
@@ -22,16 +24,14 @@ class DipCache final : public QueueCache {
 
   [[nodiscard]] std::string name() const override { return "DIP"; }
   bool access(const Request& req) override;
+  bool access_hashed(const Request& req, std::uint64_t h) override;
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
 
   /// True while BIP is winning the duel (exposed for tests).
-  [[nodiscard]] bool bip_winning() const noexcept { return psel_ < 0; }
+  [[nodiscard]] bool bip_winning() const noexcept { return duel_.psel() < 0; }
 
  private:
-  LruCache monitor_lru_;
-  BipCache monitor_bip_;
-  int psel_ = 0;  ///< >0: LRU winning; <0: BIP winning
-  static constexpr int kPselMax = 1024;
+  duel::Selector duel_;  ///< psel > 0: LRU winning; < 0: BIP winning
   double epsilon_ = 1.0 / 32.0;
   Rng rng_;
 };

@@ -17,6 +17,7 @@
 // the ~110-byte inode metadata TDC keeps in memory (§5.1).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -202,5 +203,14 @@ class LruQueue {
   std::uint64_t tail_id_ = 0;
   std::uint8_t tail_pos_ = 1;
 };
+
+/// Pre-reserve hint for a slab/index sized in bytes: assumes ~4 KiB objects
+/// (conservative for CDN traces), capped so pathological capacities (the
+/// boundary tests construct caches at 2^63 bytes) don't balloon memory.
+/// Layout-only: it moves the warm-up reallocations to construction time.
+[[nodiscard]] inline std::size_t reserve_hint(std::uint64_t capacity_bytes) {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(capacity_bytes / 4096 + 1, 1ULL << 16));
+}
 
 }  // namespace cdn

@@ -179,8 +179,9 @@ TEST(Scip, MetadataCountsOnlyLiveStructures) {
   // A small cache auto-disables the shadow monitors (monitor capacity
   // below monitor_min_bytes), and an ablation can disable them explicitly.
   // Either way the resource accounting must report only live structures:
-  // history lists plus the advisor's fixed scalar state; the four shadow
-  // monitors' fixed footprint counts only when the duels are enabled (the
+  // history lists plus the advisor's fixed scalar state; the two duels'
+  // fixed footprint (four duel::Arm arms and two duel::Selector counters)
+  // counts only when the duels are enabled (the
   // pre-fix code charged disabled monitors, inflating the Fig. 9/11
   // metadata columns for exactly the small caches where overhead matters).
   //
@@ -190,13 +191,14 @@ TEST(Scip, MetadataCountsOnlyLiveStructures) {
   // implementation sums, so a divergence means the accounting no longer
   // matches the advisor's actual layout.
   const std::uint64_t fixed = sizeof(double) * 2      // w_miss_, w_prom_
-                              + sizeof(int) * 2       // psel counters
                               + sizeof(ml::AdaptiveLearningRate)  // lr_
                               + sizeof(Rng)           // rng_
                               + sizeof(int) + sizeof(std::uint64_t);  // latch
   EXPECT_EQ(ScipAdvisor::fixed_state_bytes(), fixed);
+  EXPECT_EQ(ScipAdvisor::monitor_fixed_bytes(), sizeof(duel::Arm));
   EXPECT_GE(ScipAdvisor::monitor_fixed_bytes(),
             sizeof(std::uint64_t) + sizeof(Rng) + sizeof(LruQueue));
+  EXPECT_GE(duel::Selector::fixed_bytes(), sizeof(int));  // the psel counter
 
   ScipAdvisor small(1 << 20);  // monitor cap 32 KiB < 2 MiB floor
   EXPECT_EQ(small.metadata_bytes(), ScipAdvisor::fixed_state_bytes());
@@ -207,7 +209,8 @@ TEST(Scip, MetadataCountsOnlyLiveStructures) {
   ScipAdvisor live(1ULL << 30);  // monitors enabled, empty at construction
   EXPECT_EQ(live.metadata_bytes(),
             ScipAdvisor::fixed_state_bytes() +
-                4 * ScipAdvisor::monitor_fixed_bytes());
+                4 * ScipAdvisor::monitor_fixed_bytes() +
+                2 * duel::Selector::fixed_bytes());
 }
 
 TEST(Scip, MetadataIncludesHistoryLists) {
