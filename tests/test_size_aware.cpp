@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "analysis/byte_oracle.hpp"
 #include "core/registry.hpp"
@@ -238,6 +239,32 @@ TEST(SizeBucketLru, OversizeForMonitorIsExcludedEvidence) {
   EXPECT_EQ(cache.psel(3), 0);
 }
 
+TEST(SizeBucketLru, ResidentIdReRequestedOversizeHitsItsArm) {
+  // An arm probes its index before the size check, like the main caches:
+  // an id resident in the arm that comes back larger than the arm (4 MiB)
+  // is a hit there, touched to MRU, and never a vote. Generated and
+  // stressed traces fix each id's size, so only this adversarial sequence
+  // tells the order apart from "size check first", which would leave id
+  // a[0] at the LRU end to be evicted by a[4] and then missed. The arm
+  // evicts, so the ids carry their real hashes (slice 4, bucket 2's admit
+  // arm) rather than a forced h.
+  std::vector<std::uint64_t> a;
+  for (std::uint64_t id = 1; a.size() < 5; ++id) {
+    if ((hash64(id) & 7) == 4) a.push_back(id);
+  }
+  SizeBucketLruCache cache(128ULL << 20, targeted_params());
+  ASSERT_TRUE(cache.duel_enabled());
+  for (int i = 0; i < 4; ++i) (void)cache.access(sreq(a[i], 1ULL << 20));
+  EXPECT_EQ(cache.psel(2), 4);
+  (void)cache.access(sreq(a[0], 8ULL << 20));
+  EXPECT_EQ(cache.psel(2), 4);
+  EXPECT_EQ(cache.psel(3), 0);
+  (void)cache.access(sreq(a[4], 1ULL << 20));  // evicts a[1], not a[0]
+  EXPECT_EQ(cache.psel(2), 5);
+  (void)cache.access(sreq(a[0], 1ULL << 20));  // still resident: no vote
+  EXPECT_EQ(cache.psel(2), 5);
+}
+
 TEST(SizeBucketLru, LearnedBypassRefusesTheBucket) {
   SizeBucketLruCache cache(128ULL << 20, targeted_params());
   ASSERT_TRUE(cache.duel_enabled());
@@ -277,7 +304,7 @@ TEST(SizeBucketLru, DegradesToPlainLruBelowMonitorFloor) {
 
 TEST(SizeBucketLru, MetadataIncludesMonitors) {
   // Same content, duel on vs off: the enabled cache additionally accounts
-  // its monitor arms' index nodes.
+  // its duels — arm index nodes plus each arm's and selector's fixed state.
   SizeBucketLruCache enabled(128ULL << 20, targeted_params());
   ASSERT_TRUE(enabled.duel_enabled());
   SizeBucketLruCache degraded(16ULL << 20);
