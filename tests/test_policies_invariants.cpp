@@ -8,6 +8,8 @@
 // plus a read-only-hints suite: prefetch/contains never change a decision.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,17 +23,16 @@
 namespace cdn {
 namespace {
 
-class PolicyInvariants : public ::testing::TestWithParam<std::string> {
- protected:
-  static Trace& shared_trace() {
-    static Trace t = [] {
-      Trace tr = generate_trace(cdn_t_like(0.03));
-      annotate_next_access(tr);  // Belady & friends need it
-      return tr;
-    }();
-    return t;
-  }
-};
+const Trace& shared_trace() {
+  static const Trace t = [] {
+    Trace tr = generate_trace(cdn_t_like(0.03));
+    annotate_next_access(tr);  // Belady & friends need it
+    return tr;
+  }();
+  return t;
+}
+
+class PolicyInvariants : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PolicyInvariants, CapacityNeverExceeded) {
   const Trace& t = shared_trace();
@@ -212,24 +213,30 @@ void expect_hints_read_only(HintProbe& hinted, HintProbe& plain,
   EXPECT_TRUE(deterministic_equal(a, b));
 }
 
-class ReadOnlyHints : public PolicyInvariants {};
+/// Every registry policy at two capacities: at 8 MiB the set-dueling
+/// monitors sit below their 2 MiB floor, at 64 MiB they run.
+class ReadOnlyHints
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
+};
 
 TEST_P(ReadOnlyHints, HintedTwinIsBitwiseEqual) {
-  const std::uint64_t cap = 8ULL << 20;
-  HintProbe hinted(make_cache(GetParam(), cap), true);
-  HintProbe plain(make_cache(GetParam(), cap), false);
+  const auto& [policy, cap] = GetParam();
+  HintProbe hinted(make_cache(policy, cap), true);
+  HintProbe plain(make_cache(policy, cap), false);
   expect_hints_read_only(hinted, plain, shared_trace());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    HotPathPolicies, ReadOnlyHints,
-    ::testing::Values("S4LRU", "TinyLFU", "S4LRU-SCIP", "Orchestrator"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
+    Registry, ReadOnlyHints,
+    ::testing::Combine(::testing::ValuesIn(all_policy_names()),
+                       ::testing::Values(8ULL << 20, 64ULL << 20)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
-      return name;
+      return name + "_" + std::to_string(std::get<1>(info.param) >> 20) +
+             "MiB";
     });
 
 TEST(ReadOnlyHintsOrchestrator, SwitchingFromS4LruIsBitwiseEqual) {
