@@ -6,7 +6,7 @@
 // ring lookup, the owning node's `access_hashed`, and every replication
 // probe (the PR-6 hash-once discipline, pinned by test_cluster_cache).
 //
-// Hot-key replication. A ShadowMonitor-style windowed counter
+// Hot-key replication. A windowed per-key request counter
 // (HotKeyTracker, striped by key hash in StripedHotKeyTracker) classifies
 // keys whose observed request rate crosses `hot_threshold` within
 // `hot_window` requests as hot. Hot keys are
@@ -105,10 +105,10 @@ struct ClusterCacheConfig {
   std::vector<MembershipEvent> schedule;
 };
 
-/// Windowed hot-key detector in the ShadowMonitor mold: per-key request
-/// counts over a fixed request window, plus the previous window's hot set
-/// so hotness does not flicker to cold at every window boundary. All
-/// probes take the caller's precomputed hash64(id). Not thread-safe.
+/// Windowed hot-key detector: per-key request counts over a fixed request
+/// window, plus the previous window's hot set so hotness does not flicker
+/// to cold at every window boundary. All probes take the caller's
+/// precomputed hash64(id). Not thread-safe.
 class HotKeyTracker {
  public:
   HotKeyTracker(std::uint32_t threshold, std::uint64_t window);

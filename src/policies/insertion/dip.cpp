@@ -28,8 +28,8 @@ bool DipCache::access_hashed(const Request& req, std::uint64_t h) {
   }
   if (!fits(req.size)) return false;
   make_room(req.size);
-  const bool use_mru =
-      bip_winning() ? rng_.chance(epsilon_) : true;  // BIP vs MRU-insertion
+  // The main cache executes the winning expert: BIP or MRU insertion.
+  const bool use_mru = bip_winning() ? rng_.chance(duel::kBipEpsilon) : true;
   LruQueue::Node& n = use_mru ? q_.insert_mru_hashed(req.id, req.size, h)
                               : q_.insert_lru_hashed(req.id, req.size, h);
   n.insert_tick = n.last_tick = tick_;

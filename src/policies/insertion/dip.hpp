@@ -32,7 +32,6 @@ class DipCache final : public QueueCache {
 
  private:
   duel::Selector duel_;  ///< psel > 0: LRU winning; < 0: BIP winning
-  double epsilon_ = 1.0 / 32.0;
   Rng rng_;
 };
 

@@ -28,9 +28,12 @@ namespace cdn::duel {
 /// whatever the expert: no evidence about the policy under test.
 enum class Outcome : std::uint8_t { kHit, kMiss, kExcluded };
 
+/// BIP's bimodal epsilon: the share of misses a BIP arm inserts at MRU.
+inline constexpr double kBipEpsilon = 1.0 / 32.0;
+
 enum class Expert : std::uint8_t {
   kMruInsert,    ///< classic LRU: insert at MRU
-  kBipInsert,    ///< BIP: insert at LRU, at MRU with probability 1/32
+  kBipInsert,    ///< BIP: insert at LRU, at MRU with probability kBipEpsilon
   kDemoteOnHit,  ///< MRU insert; a first residency hit demotes to LRU
   kRefuseClass,  ///< MRU insert, except objects of one size class
 };
@@ -79,7 +82,7 @@ class Arm {
     while (q_.used_bytes() + req.size > capacity_ && !q_.empty()) {
       (void)q_.pop_lru();
     }
-    if (expert_ == Expert::kBipInsert && !bip_rng_.chance(1.0 / 32.0)) {
+    if (expert_ == Expert::kBipInsert && !bip_rng_.chance(kBipEpsilon)) {
       q_.insert_lru_hashed(req.id, req.size, h);
     } else {
       q_.insert_mru_hashed(req.id, req.size, h);

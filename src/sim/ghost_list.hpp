@@ -3,8 +3,8 @@
 // SCIP keeps two of these (H_m and H_l, §3.2): each records the key and
 // size of objects evicted from the real cache after being inserted at the
 // MRU / LRU position respectively. Each is logically half the size of the
-// real cache. Other policies (DIP set-dueling monitors, LeCaR/CACHEUS ghost
-// lists, DTA's outcome ghost) reuse the same structure.
+// real cache. Other policies (LeCaR's ghost lists, ARC's B1/B2,
+// 2Q's A1out) reuse the same structure.
 //
 // Per the paper's ADD function: a new record enters at the MRU (front) end;
 // when the list is full the record at the LRU (back) end is dropped; a hit
