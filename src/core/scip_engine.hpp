@@ -24,11 +24,10 @@
 //     MRU-insertion-with-LRU-demotion-on-hit. Their saturating counters set
 //     the ambient execution probabilities w_m (miss insertions) and w_p
 //     (promotions), exactly the set-dueling estimator DIP made standard —
-//     the paired
-//     comparison is what makes the learned probability robust to workload
-//     non-stationarity, where sequential hill climbing on the global hit
-//     rate cannot attribute changes to the knob (see DESIGN.md §5 for why
-//     this reconstruction choice was necessary).
+//     the paired comparison is what makes the learned probability robust
+//     to workload non-stationarity, where sequential hill climbing on the
+//     global hit rate cannot attribute changes to the knob (see DESIGN.md
+//     §5 for why this reconstruction choice was necessary).
 //
 //  3. Unified treatment of hits (§3.3): a hit object is REMOVEd and
 //     re-inserted through the same bimodal SELECT, with its own weight
@@ -201,11 +200,10 @@ class ScipAdvisor : public InsertionAdvisor, public obs::Introspectable {
   GhostList hl_;
   // Miss duel (MRU vs BIP, psel > 0 favors MRU) on hash bits
   // [0, monitor_slice_shift). The promotion duel (MRU vs demote-on-hit,
-  // psel > 0 favors MRU) slices identically from the next, disjoint block
-  // of bits, so both enjoy the same 2x relative-capacity de-noising and
-  // their evidence is statistically comparable. An earlier revision masked
-  // the promotion slice with monitor_cap_shift (1/32 slices), silently
-  // biasing the P-ZRO demotion decision.
+  // psel > 0 favors MRU) slices identically — monitor_slice_shift, not
+  // monitor_cap_shift — from the next, disjoint block of bits, so both
+  // enjoy the same 2x relative-capacity de-noising and their evidence is
+  // statistically comparable.
   duel::Selector miss_duel_;
   duel::Selector prom_duel_;
   Rng rng_;
