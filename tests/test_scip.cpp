@@ -181,9 +181,9 @@ TEST(Scip, MetadataCountsOnlyLiveStructures) {
   // Either way the resource accounting must report only live structures:
   // history lists plus the advisor's fixed scalar state; the two duels'
   // fixed footprint (four duel::Arm arms and two duel::Selector counters)
-  // counts only when the duels are enabled (the
-  // pre-fix code charged disabled monitors, inflating the Fig. 9/11
-  // metadata columns for exactly the small caches where overhead matters).
+  // counts only when the duels are enabled (the pre-fix code charged
+  // disabled monitors, inflating the Fig. 9/11 metadata columns for
+  // exactly the small caches where overhead matters).
   //
   // The fixed components are sizeof-derived (the hand-counted 96 / 4x24
   // literals they replace desynchronized silently whenever a field was
