@@ -1,8 +1,9 @@
 // Golden-master end-to-end tests: the paper's policies (SCIP, LRU, SCI,
-// LIP) plus the orchestrator and its S4LRU/TinyLFU experts run over one
-// small fixed-seed synthetic trace, with EXACT hit/miss/byte counters
-// pinned — not ratios. Any behavioral drift anywhere in the
-// engine (generator, RNG, queue, advisor, simulator accounting) fails
+// LIP), the orchestrator and its S4LRU/TinyLFU experts, and the baselines
+// that sample victims or read per-object ages (RANDOM, LHD, LRB, LeCaR,
+// SS-LRU) run over one small fixed-seed synthetic trace, with EXACT
+// hit/miss/byte counters pinned — not ratios. Any behavioral drift anywhere
+// in the engine (generator, RNG, queue, advisor, simulator accounting) fails
 // these loudly, which is the point: an intentional behavior change must
 // re-pin the numbers in the same commit that explains why. The live-duel
 // rows at the bottom run at 64 MiB, where the set-dueling monitors clear
@@ -23,6 +24,7 @@
 #include "core/scip_s4lru.hpp"
 #include "policies/admission/size_bucket.hpp"
 #include "policies/insertion/dip.hpp"
+#include "policies/replacement/lrb.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 #include "trace/stressors/scenarios.hpp"
@@ -78,6 +80,11 @@ constexpr Golden kGolden[] = {
     {"TinyLFU", 14'757u, 144'031'159u, 12'399u, 123'056'581u},
     {"S4LRU-SCIP", 13'763u, 139'363'175u, 11'793u, 121'105'927u},
     {"Orchestrator", 14'757u, 144'031'159u, 12'399u, 123'056'581u},
+    {"RANDOM", 12'333u, 119'106'052u, 10'234u, 100'671'237u},
+    {"LHD", 15'963u, 105'627'203u, 13'397u, 88'884'262u},
+    {"LRB", 13'826u, 138'854'928u, 11'493u, 117'571'931u},
+    {"LeCaR", 13'838u, 139'012'600u, 11'503u, 117'671'223u},
+    {"SS-LRU", 14'933u, 149'509'461u, 12'547u, 127'548'406u},
 };
 
 SimOptions golden_options() {
@@ -154,6 +161,24 @@ TEST(GoldenMaster, OrchestratorFromS4LruIsPinned) {
   EXPECT_EQ(res.warm_bytes_hit, 118'149'113u);
   EXPECT_EQ(cache.switches(), 2u);
   EXPECT_EQ(cache.live_policy(), "TinyLFU");
+}
+
+// The registry LRB row above never trains a model on the golden trace (its
+// labels need more requests than the trace holds), so every eviction there
+// is a plain LRU pop. This master shrinks the training window so the model
+// trains early and the sampled, age-reading eviction path decides victims.
+TEST(GoldenMaster, LrbSampledEvictionIsPinned) {
+  LrbParams p;
+  p.memory_window = 4096;
+  p.train_batch = 1024;
+  p.min_retrain_gap = 4096;
+  LrbCache cache(kCapacity, p);
+  const auto res = simulate(cache, golden_trace(), golden_options());
+  EXPECT_EQ(res.hits, 15'403u);
+  EXPECT_EQ(res.bytes_hit, 153'791'862u);
+  EXPECT_EQ(res.warm_hits, 13'101u);
+  EXPECT_EQ(res.warm_bytes_hit, 132'606'158u);
+  EXPECT_EQ(cache.retrain_count(), 8u);
 }
 
 // ------------------------------------------- stressed-scenario masters --
