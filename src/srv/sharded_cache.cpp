@@ -9,13 +9,17 @@ namespace cdn::srv {
 
 std::size_t ShardedCache::shard_of(std::uint64_t id,
                                    std::size_t shards) noexcept {
+  return shard_of_hashed(hash64(id), shards);
+}
+
+std::size_t ShardedCache::shard_of_hashed(std::uint64_t h,
+                                          std::size_t shards) noexcept {
   if (shards == 0) return 0;
-  // Identical to hash64(id) % shards, but power-of-two counts (every count
-  // a deployment or the shard sweep actually uses) reduce by mask instead
-  // of 64-bit division. One shard takes the same path (mask 0), so every
+  // Identical to h % shards, but power-of-two counts (every count a
+  // deployment or the shard sweep actually uses) reduce by mask instead of
+  // 64-bit division. One shard takes the same path (mask 0), so every
   // shard count pays exactly the same routing cost — sweep rows differ
   // only in what sharding buys, not in what routing costs.
-  const std::uint64_t h = hash64(id);
   return (shards & (shards - 1)) == 0
              ? static_cast<std::size_t>(h & (shards - 1))
              : static_cast<std::size_t>(h % shards);
@@ -59,9 +63,11 @@ std::string ShardedCache::name() const {
 }
 
 bool ShardedCache::access(const Request& req) {
-  Shard& s = *shards_[shard_of(req.id, shards_.size())];
+  // One hash routes the request and feeds the shard's probes.
+  const std::uint64_t h = hash64(req.id);
+  Shard& s = *shards_[shard_of_hashed(h, shards_.size())];
   MutexLock lk(s.mu);
-  const bool hit = s.cache->access(req);
+  const bool hit = s.cache->access_hashed(req, h);
   ++s.counters.requests;
   s.counters.bytes_total += req.size;
   if (hit) {
@@ -99,7 +105,8 @@ void ShardedCache::access_batch(const Request* reqs, std::size_t n,
                                 bool* hits_out, std::size_t first_shard) {
   const std::size_t n_shards = shards_.size();
   // Group the batch by shard with a stable counting sort: one hash
-  // evaluation per request, then a branch-free scatter into per-shard
+  // evaluation per request (kept, and handed to the shard's prefetch and
+  // access, so nothing rehashes), then a branch-free scatter into per-shard
   // contiguous index runs. O(n + shards) per batch regardless of shard
   // count — a per-shard filter scan over the batch costs O(n * shards)
   // data-dependent branches instead, and measurably decays throughput as
@@ -110,18 +117,24 @@ void ShardedCache::access_batch(const Request* reqs, std::size_t n,
   // hash included, so rows of a shard sweep stay comparable.
   constexpr std::size_t kStackN = 1024;
   constexpr std::size_t kStackShards = 64;
+  std::uint64_t stack_hashes[kStackN];
   std::uint32_t stack_routes[kStackN];
   std::uint32_t stack_order[kStackN];
   std::uint32_t stack_start[kStackShards + 1];
   std::uint32_t stack_cursor[kStackShards];
+  std::vector<std::uint64_t> heap_hashes;
   std::vector<std::uint32_t> heap;
+  std::uint64_t* hashes = stack_hashes;
   std::uint32_t* routes = stack_routes;
   std::uint32_t* order = stack_order;
   std::uint32_t* start = stack_start;
   std::uint32_t* cursor = stack_cursor;
   if (n > kStackN || n_shards > kStackShards) {
     // detlint:allow(alloc-in-hot, oversized-batch spill: the stack arrays cover every bench/srv batch shape; the heap branch is the cold fallback)
+    heap_hashes.resize(n);
+    // detlint:allow(alloc-in-hot, same cold oversized-batch spill as above)
     heap.resize(2 * n + 2 * n_shards + 1);
+    hashes = heap_hashes.data();
     routes = heap.data();
     order = routes + n;
     start = order + n;
@@ -129,7 +142,9 @@ void ShardedCache::access_batch(const Request* reqs, std::size_t n,
   }
   for (std::size_t s = 0; s <= n_shards; ++s) start[s] = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    routes[i] = static_cast<std::uint32_t>(shard_of(reqs[i].id, n_shards));
+    hashes[i] = hash64(reqs[i].id);
+    routes[i] =
+        static_cast<std::uint32_t>(shard_of_hashed(hashes[i], n_shards));
     ++start[routes[i] + 1];
   }
   for (std::size_t s = 0; s < n_shards; ++s) {
@@ -168,7 +183,8 @@ void ShardedCache::access_batch(const Request* reqs, std::size_t n,
       Shard& s = *shards_[idx];
       // detlint:allow(lock-in-hot, lock striping IS the concurrency design: one non-blocking acquire per touched shard per batch)
       if (!s.mu.try_lock()) continue;
-      serve_run_locked(s, reqs, order, start[idx], start[idx + 1], hits_out);
+      serve_run_locked(s, reqs, hashes, order, start[idx], start[idx + 1],
+                       hits_out);
       s.mu.unlock();
       done[idx] = true;
       --pending;
@@ -184,7 +200,7 @@ void ShardedCache::access_batch(const Request* reqs, std::size_t n,
       {
         // detlint:allow(lock-in-hot, blocking fallback taken only when every pending stripe is held elsewhere; guarantees forward progress)
         MutexLock lk(s.mu);
-        serve_run_locked(s, reqs, order, start[idx], start[idx + 1],
+        serve_run_locked(s, reqs, hashes, order, start[idx], start[idx + 1],
                          hits_out);
       }
       done[idx] = true;
@@ -195,6 +211,7 @@ void ShardedCache::access_batch(const Request* reqs, std::size_t n,
 }
 
 void ShardedCache::serve_run_locked(Shard& s, const Request* reqs,
+                                    const std::uint64_t* hashes,
                                     const std::uint32_t* order,
                                     std::uint32_t begin, std::uint32_t end,
                                     bool* hits_out) {
@@ -205,12 +222,13 @@ void ShardedCache::serve_run_locked(Shard& s, const Request* reqs,
   constexpr std::uint32_t kPrefetchDistance = 4;
   for (std::uint32_t k = begin; k < end; ++k) {
     if (k + kPrefetchDistance < end) {
+      const std::size_t j = order[k + kPrefetchDistance];
       // detlint:allow(virtual-in-hot, prefetch is an advisory hint; the registry boundary is one indirect call, measured in bench_throughput)
-      s.cache->prefetch(reqs[order[k + kPrefetchDistance]].id);
+      s.cache->prefetch_hashed(reqs[j].id, hashes[j]);
     }
     const std::size_t i = order[k];
     // detlint:allow(virtual-in-hot, the polymorphic policy dispatch is the service's API boundary; per-request cost measured in bench_throughput)
-    const bool hit = s.cache->access(reqs[i]);
+    const bool hit = s.cache->access_hashed(reqs[i], hashes[i]);
     hits_out[i] = hit;
     ++s.counters.requests;
     s.counters.bytes_total += reqs[i].size;

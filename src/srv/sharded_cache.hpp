@@ -71,6 +71,9 @@ class ShardedCache final : public Cache {
   /// Shard index for an object id: hash64(id) % shards. Pure and stateless.
   [[nodiscard]] static std::size_t shard_of(std::uint64_t id,
                                             std::size_t shards) noexcept;
+  /// shard_of() with the caller-precomputed hash64(id).
+  [[nodiscard]] static std::size_t shard_of_hashed(std::uint64_t h,
+                                                   std::size_t shards) noexcept;
 
   /// Capacity of shard `s` when `total` bytes split over `shards` shards:
   /// total/shards rounded down, with the remainder spread over the first
@@ -113,9 +116,11 @@ class ShardedCache final : public Cache {
     ShardStats counters CDN_GUARDED_BY(mu);
   };
 
-  /// Serves order[begin, end) of the batch against one shard; the caller
-  /// holds the shard's lock.
+  /// Serves order[begin, end) of the batch against one shard, handing each
+  /// request's routing hash (hashes[i] == hash64(reqs[i].id)) to the
+  /// policy; the caller holds the shard's lock.
   CDN_HOT void serve_run_locked(Shard& s, const Request* reqs,
+                                const std::uint64_t* hashes,
                                 const std::uint32_t* order,
                                 std::uint32_t begin, std::uint32_t end,
                                 bool* hits_out) CDN_REQUIRES(s.mu);

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -41,6 +42,7 @@ TEST(ShardRouting, IsPureFunctionOfKey) {
       EXPECT_LT(s, shards);
       EXPECT_EQ(s, ShardedCache::shard_of(id, shards));
       EXPECT_EQ(s, hash64(id) % shards);
+      EXPECT_EQ(s, ShardedCache::shard_of_hashed(hash64(id), shards));
     }
   }
   // One shard routes everything to shard 0 without hashing.
@@ -61,6 +63,67 @@ TEST(ShardRouting, IsBitwiseStableAcrossReleases) {
   EXPECT_EQ(ShardedCache::shard_of(0xdeadbeef, 8), 3u);
   EXPECT_EQ(ShardedCache::shard_of(0xdeadbeef, 4), 3u);
   EXPECT_EQ(ShardedCache::shard_of(0xdeadbeef, 2), 1u);
+}
+
+// Records how a shard is driven: which entry point each request took and
+// whether every hash handed down matched hash64(id).
+class HashProbeCache final : public Cache {
+ public:
+  explicit HashProbeCache(std::uint64_t capacity) : Cache(capacity) {}
+  [[nodiscard]] std::string name() const override { return "probe"; }
+  bool access(const Request& /*req*/) override {
+    ++plain_accesses;
+    return false;
+  }
+  bool access_hashed(const Request& req, std::uint64_t h) override {
+    ++hashed_accesses;
+    wrong_hashes += h != hash64(req.id) ? 1 : 0;
+    return false;
+  }
+  void prefetch(std::uint64_t /*id*/) const noexcept override {
+    ++plain_prefetches;
+  }
+  void prefetch_hashed(std::uint64_t id,
+                       std::uint64_t h) const noexcept override {
+    wrong_hashes += h != hash64(id) ? 1 : 0;
+  }
+  [[nodiscard]] bool contains(std::uint64_t /*id*/) const override {
+    return false;
+  }
+  [[nodiscard]] std::uint64_t used_bytes() const override { return 0; }
+
+  std::size_t plain_accesses = 0;
+  std::size_t hashed_accesses = 0;
+  mutable std::size_t plain_prefetches = 0;
+  mutable std::size_t wrong_hashes = 0;
+};
+
+TEST(ShardRouting, RoutingHashIsHandedToTheShard) {
+  // The routing hash is the only hash64 on the service's request path:
+  // both entry points pass it to the shard's _hashed calls.
+  std::vector<HashProbeCache*> probes;
+  ShardedCacheConfig cfg;
+  cfg.capacity_bytes = 1 << 20;
+  cfg.shards = 4;
+  ShardedCache cache(cfg, [&probes](std::uint64_t cap, std::size_t) {
+    auto c = std::make_unique<HashProbeCache>(cap);
+    probes.push_back(c.get());
+    return c;
+  });
+  constexpr std::size_t kN = 64;
+  std::vector<Request> reqs;
+  for (std::uint64_t id = 0; id < kN; ++id) reqs.push_back({0, id, 1, -1});
+  bool hits[kN];
+  cache.access_batch(reqs.data(), kN, hits);
+  for (const Request& r : reqs) (void)cache.access(r);
+  std::size_t hashed = 0;
+  for (const HashProbeCache* p : probes) {
+    EXPECT_EQ(p->plain_accesses, 0u);
+    EXPECT_EQ(p->plain_prefetches, 0u);
+    EXPECT_EQ(p->wrong_hashes, 0u);
+    hashed += p->hashed_accesses;
+  }
+  EXPECT_EQ(hashed, 2 * kN);
 }
 
 TEST(ShardCapacity, PartitionsSumToTotalAndAreBalanced) {
