@@ -206,7 +206,12 @@ void SizeMixStressor::transform(std::size_t /*i*/, Request& req,
 std::string chain_name(const std::string& base_name,
                        const std::vector<StressorPtr>& chain) {
   std::string name = base_name;
-  for (const auto& s : chain) name += "+" + s->name();
+  for (const auto& s : chain) {
+    // Two appends, not name += "+" + ...: gcc 12 at -O3 reports a false
+    // -Wrestrict on the temporary concatenation.
+    name += '+';
+    name += s->name();
+  }
   return name;
 }
 
