@@ -46,7 +46,6 @@ void AdvisedLruCache::on_evict_hashed(const LruQueue::Node& victim,
 template <typename A>
 bool AdvisedLruCache::access_impl(const Request& req, std::uint64_t h,
                                   A& adv) {
-  ++tick_;
   if (LruQueue::Node* node = q_.find_hashed(req.id, h)) {
     // PROMOTE = REMOVE + INSERT; the object is NOT written to any history
     // list (Algorithm 1, line 24). The REMOVE + INSERT pair executes as an
@@ -57,10 +56,8 @@ bool AdvisedLruCache::access_impl(const Request& req, std::uint64_t h,
     const bool mru = adv.choose_mru_for_hit(req, hits);
     LruQueue::Node& n = mru ? q_.reinsert_mru(*node) : q_.reinsert_lru(*node);
     n.hits = hits;
-    n.last_tick = tick_;
-    // insert_tick is preserved in place; insert_pos is set by reinsert_*:
-    // the new mark decides the history list the object lands in when
-    // eventually evicted.
+    // insert_pos is set by reinsert_*: the new mark decides the history
+    // list the object lands in when eventually evicted.
     adv.on_request_hashed(req, true, h);
     return true;
   }
@@ -98,9 +95,11 @@ bool AdvisedLruCache::access_impl(const Request& req, std::uint64_t h,
                         victim.hits > 0, victim_hash);
   }
   const bool mru = adv.choose_mru_for_miss(req);
-  LruQueue::Node& n = mru ? q_.insert_mru_hashed(req.id, req.size, h)
-                          : q_.insert_lru_hashed(req.id, req.size, h);
-  n.insert_tick = n.last_tick = tick_;
+  if (mru) {
+    q_.insert_mru_hashed(req.id, req.size, h);
+  } else {
+    q_.insert_lru_hashed(req.id, req.size, h);
+  }
   adv.on_request_hashed(req, false, h);
   return false;
 }

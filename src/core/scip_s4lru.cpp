@@ -47,13 +47,11 @@ bool ScipS4LruCache::access(const Request& req) {
 }
 
 bool ScipS4LruCache::access_hashed(const Request& req, std::uint64_t h) {
-  ++tick_;
   // The node pointer stays valid through the hit path: the advisor never
   // touches the segments, and relinks do not move nodes.
   if (Segments::Node* n = seg_.find_hashed(req.id, h)) {
     const bool mru = advisor_->choose_mru_for_hit(req, n->hits + 1);
     ++n->hits;
-    n->last_tick = tick_;
     if (mru) {
       n->insert_pos = 1;
       seg_.relink_mru(*n, std::min(n->list() + 1, kLevels - 1));
@@ -72,10 +70,11 @@ bool ScipS4LruCache::access_hashed(const Request& req, std::uint64_t h) {
     advisor_->on_request(req, false);
     return false;
   }
-  Segments::Node& n = advisor_->choose_mru_for_miss(req)
-                          ? seg_.insert_mru(0, req.id, req.size, h)
-                          : seg_.insert_lru(0, req.id, req.size, h);
-  n.insert_tick = n.last_tick = tick_;
+  if (advisor_->choose_mru_for_miss(req)) {
+    seg_.insert_mru(0, req.id, req.size, h);
+  } else {
+    seg_.insert_lru(0, req.id, req.size, h);
+  }
   rebalance();
   advisor_->on_request(req, false);
   return false;

@@ -50,7 +50,6 @@ class ScipS4LruCache final : public Cache {
   std::shared_ptr<InsertionAdvisor> advisor_;
   Segments seg_;
   std::array<std::uint64_t, kLevels> seg_cap_{};
-  std::int64_t tick_ = 0;
 };
 
 /// Factory for the registry ("S4LRU-SCIP").

@@ -12,7 +12,6 @@ AdaptSizeCache::AdaptSizeCache(std::uint64_t capacity_bytes,
       rng_(seed) {}
 
 bool AdaptSizeCache::access(const Request& req) {
-  ++tick_;
   ++window_requests_;
   window_bytes_ += req.size;
 
@@ -20,15 +19,13 @@ bool AdaptSizeCache::access(const Request& req) {
   if (LruQueue::Node* n = q_.find(req.id)) {
     hit = true;
     ++n->hits;
-    n->last_tick = tick_;
     q_.touch_mru(req.id);
     window_hit_bytes_ += req.size;
   } else if (fits(req.size) &&
              rng_.chance(
                  std::exp(-static_cast<double>(req.size) / cutoff_))) {
     make_room(req.size);
-    LruQueue::Node& n = q_.insert_mru(req.id, req.size);
-    n.insert_tick = n.last_tick = tick_;
+    q_.insert_mru(req.id, req.size);
   }
 
   if (window_requests_ >= kWindow) {

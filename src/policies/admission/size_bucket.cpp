@@ -31,13 +31,11 @@ bool SizeBucketLruCache::access(const Request& req) {
 }
 
 bool SizeBucketLruCache::access_hashed(const Request& req, std::uint64_t h) {
-  ++tick_;
   if (enabled_) {
     for (duel::Selector& d : duels_) d.feed(req, h);
   }
   if (LruQueue::Node* n = q_.find_hashed(req.id, h)) {
     ++n->hits;
-    n->last_tick = tick_;
     q_.touch_mru(*n);
     return true;
   }
@@ -49,8 +47,7 @@ bool SizeBucketLruCache::access_hashed(const Request& req, std::uint64_t h) {
     return false;
   }
   make_room(req.size);
-  LruQueue::Node& n = q_.insert_mru_hashed(req.id, req.size, h);
-  n.insert_tick = n.last_tick = tick_;
+  q_.insert_mru_hashed(req.id, req.size, h);
   ++admissions_[static_cast<std::size_t>(b)];
   return false;
 }

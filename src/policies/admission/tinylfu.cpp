@@ -10,13 +10,11 @@ bool TinyLfuCache::access(const Request& req) {
 }
 
 bool TinyLfuCache::access_hashed(const Request& req, std::uint64_t h) {
-  ++tick_;
   // The sketch salts its own row hashes, so it cannot reuse `h`; add()
   // hands back the candidate's post-update estimate for the duel below.
   const std::uint8_t candidate = sketch_.add(req.id);
   if (LruQueue::Node* n = q_.find_hashed(req.id, h)) {
     ++n->hits;
-    n->last_tick = tick_;
     q_.touch_mru(*n);
     return true;
   }
@@ -32,8 +30,7 @@ bool TinyLfuCache::access_hashed(const Request& req, std::uint64_t h) {
   }
   ++admissions_;
   make_room(req.size);
-  LruQueue::Node& n = q_.insert_mru_hashed(req.id, req.size, h);
-  n.insert_tick = n.last_tick = tick_;
+  q_.insert_mru_hashed(req.id, req.size, h);
   return false;
 }
 

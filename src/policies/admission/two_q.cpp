@@ -30,28 +30,23 @@ void TwoQCache::make_room_main(std::uint64_t size) {
 }
 
 bool TwoQCache::access(const Request& req) {
-  ++tick_;
   if (LruQueue::Node* n = am_.find(req.id)) {
     ++n->hits;
-    n->last_tick = tick_;
     am_.touch_mru(req.id);
     return true;
   }
   if (LruQueue::Node* n = a1in_.find(req.id)) {
     // 2Q leaves A1in order untouched on hit (FIFO scan resistance).
     ++n->hits;
-    n->last_tick = tick_;
     return true;
   }
   if (!fits(req.size)) return false;
   make_room_main(req.size);
   if (a1out_.erase(req.id)) {
     // Second access within the A1out horizon: admit to the main queue.
-    LruQueue::Node& n = am_.insert_mru(req.id, req.size);
-    n.insert_tick = n.last_tick = tick_;
+    am_.insert_mru(req.id, req.size);
   } else {
-    LruQueue::Node& n = a1in_.insert_mru(req.id, req.size);
-    n.insert_tick = n.last_tick = tick_;
+    a1in_.insert_mru(req.id, req.size);
   }
   // Keep A1in within its share even when insertions land there.
   while (a1in_.used_bytes() > a1in_cap_ && a1in_.count() > 1) {

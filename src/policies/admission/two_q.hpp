@@ -39,7 +39,6 @@ class TwoQCache final : public Cache {
   LruQueue a1in_;   ///< FIFO probation
   LruQueue am_;     ///< main LRU
   GhostList a1out_; ///< ghosts of A1in evictions
-  std::int64_t tick_ = 0;
 };
 
 }  // namespace cdn

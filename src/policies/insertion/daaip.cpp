@@ -21,10 +21,8 @@ void DaaipCache::on_evict(const LruQueue::Node& victim) {
 }
 
 bool DaaipCache::access(const Request& req) {
-  ++tick_;
   if (LruQueue::Node* n = q_.find(req.id)) {
     ++n->hits;
-    n->last_tick = tick_;
     std::uint8_t& c = dead_[signature(req.id)];
     if (c > 0) --c;  // reuse is evidence of liveness
     if (c >= kDeadThreshold) {
@@ -37,9 +35,11 @@ bool DaaipCache::access(const Request& req) {
   if (!fits(req.size)) return false;
   make_room(req.size);
   const bool predicted_dead = dead_[signature(req.id)] >= kDeadThreshold;
-  LruQueue::Node& n = predicted_dead ? q_.insert_lru(req.id, req.size)
-                                     : q_.insert_mru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
+  if (predicted_dead) {
+    q_.insert_lru(req.id, req.size);
+  } else {
+    q_.insert_mru(req.id, req.size);
+  }
   return false;
 }
 

@@ -30,8 +30,6 @@ void DgipprCache::rebalance() {
       LruQueue::Node& moved =
           seg_[static_cast<std::size_t>(i - 1)].insert_mru(n.id, n.size);
       moved.hits = n.hits;
-      moved.insert_tick = n.insert_tick;
-      moved.last_tick = n.last_tick;
       level_[n.id] = static_cast<std::uint8_t>(i - 1);
     }
   }
@@ -91,7 +89,6 @@ void DgipprCache::evolve() {
 }
 
 bool DgipprCache::access(const Request& req) {
-  ++tick_;
   ++epoch_requests_;
   const Genome& g = population_[current_];
 
@@ -107,15 +104,11 @@ bool DgipprCache::access(const Request& req) {
     LruQueue::Node& n =
         seg_[static_cast<std::size_t>(dst)].insert_mru(req.id, moved.size);
     n.hits = moved.hits + 1;
-    n.insert_tick = moved.insert_tick;
-    n.last_tick = tick_;
     it->second = static_cast<std::uint8_t>(dst);
     rebalance();
   } else if (fits(req.size)) {
-    LruQueue::Node& n =
-        seg_[static_cast<std::size_t>(g.insert_level)].insert_mru(req.id,
-                                                                  req.size);
-    n.insert_tick = n.last_tick = tick_;
+    seg_[static_cast<std::size_t>(g.insert_level)].insert_mru(req.id,
+                                                              req.size);
     level_[req.id] = static_cast<std::uint8_t>(g.insert_level);
     rebalance();
   }

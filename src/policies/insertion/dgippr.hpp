@@ -62,7 +62,6 @@ class DgipprCache final : public Cache {
   std::int64_t epoch_hits_ = 0;
   int generations_ = 0;
   Rng rng_;
-  std::int64_t tick_ = 0;
 };
 
 }  // namespace cdn

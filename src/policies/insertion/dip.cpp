@@ -18,11 +18,9 @@ bool DipCache::access(const Request& req) {
 }
 
 bool DipCache::access_hashed(const Request& req, std::uint64_t h) {
-  ++tick_;
   duel_.feed(req, h);
   if (LruQueue::Node* n = q_.find_hashed(req.id, h)) {
     ++n->hits;
-    n->last_tick = tick_;
     q_.touch_mru(*n);
     return true;
   }
@@ -30,9 +28,11 @@ bool DipCache::access_hashed(const Request& req, std::uint64_t h) {
   make_room(req.size);
   // The main cache executes the winning expert: BIP or MRU insertion.
   const bool use_mru = bip_winning() ? rng_.chance(duel::kBipEpsilon) : true;
-  LruQueue::Node& n = use_mru ? q_.insert_mru_hashed(req.id, req.size, h)
-                              : q_.insert_lru_hashed(req.id, req.size, h);
-  n.insert_tick = n.last_tick = tick_;
+  if (use_mru) {
+    q_.insert_mru_hashed(req.id, req.size, h);
+  } else {
+    q_.insert_lru_hashed(req.id, req.size, h);
+  }
   return false;
 }
 

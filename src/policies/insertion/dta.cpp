@@ -58,7 +58,6 @@ bool DtaCache::access(const Request& req) {
   if (tick_ % 65536 == 0) trim_meta();
   if (LruQueue::Node* n = q_.find(req.id)) {
     ++n->hits;
-    n->last_tick = tick_;
     ObjMeta& m = meta_[req.id];
     ++m.freq;
     m.last_seen = tick_;
@@ -71,9 +70,11 @@ bool DtaCache::access(const Request& req) {
   make_room(req.size);
   const bool predicted_reuse =
       tree_.trained() ? tree_.predict_raw(feats) >= 0.5 : true;
-  LruQueue::Node& n = predicted_reuse ? q_.insert_mru(req.id, req.size)
-                                      : q_.insert_lru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
+  if (predicted_reuse) {
+    q_.insert_mru(req.id, req.size);
+  } else {
+    q_.insert_lru(req.id, req.size);
+  }
   live_[req.id] = InsertInfo{{feats[0], feats[1], feats[2]}};
   return false;
 }

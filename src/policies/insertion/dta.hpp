@@ -49,6 +49,7 @@ class DtaCache final : public QueueCache {
   ml::Dataset train_buf_{kFeatures};
   ml::Gbm tree_;
   Rng rng_;
+  std::int64_t tick_ = 0;  ///< logical time: one tick per access()
 };
 
 }  // namespace cdn

@@ -7,17 +7,14 @@ bool LipCache::access(const Request& req) {
 }
 
 bool LipCache::access_hashed(const Request& req, std::uint64_t h) {
-  ++tick_;
   if (LruQueue::Node* n = q_.find_hashed(req.id, h)) {
     ++n->hits;
-    n->last_tick = tick_;
     q_.touch_mru(*n);
     return true;
   }
   if (!fits(req.size)) return false;
   make_room(req.size);
-  LruQueue::Node& n = q_.insert_lru_hashed(req.id, req.size, h);
-  n.insert_tick = n.last_tick = tick_;
+  q_.insert_lru_hashed(req.id, req.size, h);
   return false;
 }
 

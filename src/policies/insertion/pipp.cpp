@@ -3,17 +3,14 @@
 namespace cdn {
 
 bool PippCache::access(const Request& req) {
-  ++tick_;
   if (LruQueue::Node* n = q_.find(req.id)) {
     ++n->hits;
-    n->last_tick = tick_;
     if (rng_.chance(p_prom_)) q_.move_up_one(req.id);
     return true;
   }
   if (!fits(req.size)) return false;
   make_room(req.size);
-  LruQueue::Node& n = q_.insert_lru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
+  q_.insert_lru(req.id, req.size);
   return false;
 }
 

@@ -19,10 +19,8 @@ void ShipCache::on_evict(const LruQueue::Node& victim) {
 }
 
 bool ShipCache::access(const Request& req) {
-  ++tick_;
   if (LruQueue::Node* n = q_.find(req.id)) {
     ++n->hits;
-    n->last_tick = tick_;
     std::uint8_t& c = shct_[signature(req.id)];
     if (c < kMax) ++c;
     q_.touch_mru(req.id);
@@ -31,9 +29,11 @@ bool ShipCache::access(const Request& req) {
   if (!fits(req.size)) return false;
   make_room(req.size);
   const bool predicted_reuse = shct_[signature(req.id)] != 0;
-  LruQueue::Node& n = predicted_reuse ? q_.insert_mru(req.id, req.size)
-                                      : q_.insert_lru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
+  if (predicted_reuse) {
+    q_.insert_mru(req.id, req.size);
+  } else {
+    q_.insert_lru(req.id, req.size);
+  }
   return false;
 }
 

@@ -27,20 +27,15 @@ void ArcCache::replace(bool hit_in_b2, std::uint64_t incoming) {
 }
 
 bool ArcCache::access(const Request& req) {
-  ++tick_;
   // Case I: hit in T1 or T2 -> move to T2 MRU.
   if (LruQueue::Node* n = t1_.find(req.id)) {
     LruQueue::Node copy = *n;
     t1_.erase(req.id);
-    LruQueue::Node& moved = t2_.insert_mru(req.id, copy.size);
-    moved.hits = copy.hits + 1;
-    moved.insert_tick = copy.insert_tick;
-    moved.last_tick = tick_;
+    t2_.insert_mru(req.id, copy.size).hits = copy.hits + 1;
     return true;
   }
   if (LruQueue::Node* n = t2_.find(req.id)) {
     ++n->hits;
-    n->last_tick = tick_;
     t2_.touch_mru(req.id);
     return true;
   }
@@ -58,8 +53,7 @@ bool ArcCache::access(const Request& req) {
                                               : 1);
     p_ = std::min(capacity_, p_ + std::max<std::uint64_t>(delta, req.size));
     replace(false, req.size);
-    LruQueue::Node& n = t2_.insert_mru(req.id, req.size);
-    n.insert_tick = n.last_tick = tick_;
+    t2_.insert_mru(req.id, req.size);
     return false;
   }
   // Case III: ghost hit in B2 -> favor frequency; admit into T2.
@@ -73,14 +67,12 @@ bool ArcCache::access(const Request& req) {
                                               : 1);
     p_ = p_ > delta ? p_ - delta : 0;
     replace(true, req.size);
-    LruQueue::Node& n = t2_.insert_mru(req.id, req.size);
-    n.insert_tick = n.last_tick = tick_;
+    t2_.insert_mru(req.id, req.size);
     return false;
   }
   // Case IV: cold miss -> admit into T1.
   replace(false, req.size);
-  LruQueue::Node& n = t1_.insert_mru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
+  t1_.insert_mru(req.id, req.size);
   return false;
 }
 

@@ -40,7 +40,6 @@ class ArcCache final : public Cache {
   GhostList b1_;
   GhostList b2_;
   std::uint64_t p_ = 0;  ///< target size of T1 in bytes
-  std::int64_t tick_ = 0;
 };
 
 }  // namespace cdn

@@ -35,7 +35,8 @@ void LeCarCache::apply_regret(GhostList& ghost, double& w_penalized,
 void LeCarCache::evict_id(std::uint64_t victim_id, bool blamed_on_lru) {
   LruQueue::Node victim{};
   q_.erase(victim_id, &victim);
-  lfu_order_.erase({victim.aux, victim.last_tick, victim.id});
+  const LruQueue::Side& vs = q_.removed_side();
+  lfu_order_.erase({vs.aux, vs.last_tick, victim.id});
   auto& ghost = blamed_on_lru ? ghost_lru_ : ghost_lfu_;
   ghost.add(victim.id, victim.size);
   ghost_evict_tick_[victim.id] = tick_;
@@ -64,11 +65,12 @@ bool LeCarCache::access(const Request& req) {
   }
 
   if (LruQueue::Node* n = q_.find(req.id)) {
-    lfu_order_.erase({n->aux, n->last_tick, n->id});
+    LruQueue::Side& s = q_.side(*n);
+    lfu_order_.erase({s.aux, s.last_tick, n->id});
     ++n->hits;
-    ++n->aux;  // frequency
-    n->last_tick = tick_;
-    lfu_order_.insert({n->aux, n->last_tick, n->id});
+    ++s.aux;  // frequency
+    s.last_tick = tick_;
+    lfu_order_.insert({s.aux, s.last_tick, n->id});
     q_.touch_mru(req.id);
     return true;
   }
@@ -85,9 +87,10 @@ bool LeCarCache::access(const Request& req) {
   if (!fits(req.size)) return false;
   while (q_.used_bytes() + req.size > capacity_ && !q_.empty()) evict_one();
   LruQueue::Node& n = q_.insert_mru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
-  n.aux = 1;
-  lfu_order_.insert({n.aux, n.last_tick, n.id});
+  LruQueue::Side& s = q_.side(n);
+  s.last_tick = tick_;
+  s.aux = 1;
+  lfu_order_.insert({s.aux, s.last_tick, n.id});
   return false;
 }
 

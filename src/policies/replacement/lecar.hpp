@@ -44,7 +44,7 @@ class LeCarCache : public Cache {
                     std::int64_t evict_tick_hint);
   void evict_id(std::uint64_t victim_id, bool blamed_on_lru);
 
-  LruQueue q_;  ///< recency order; node.aux = frequency
+  LruQueue q_{LruQueue::kWithSide};  ///< recency order; side aux = frequency
   std::set<LfuKey> lfu_order_;
   GhostList ghost_lru_;
   GhostList ghost_lfu_;

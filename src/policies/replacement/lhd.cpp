@@ -95,7 +95,7 @@ void LhdCache::evict_one() {
     const int cls = class_of(n.hits, n.size);
     const double d =
         classes_[static_cast<std::size_t>(cls)]
-            .density[static_cast<std::size_t>(age_bin(n.last_tick))];
+            .density[static_cast<std::size_t>(age_bin(q_.side(n).last_tick))];
     const double score = d / static_cast<double>(n.size);
     if (score < best_score) {
       best_score = score;
@@ -106,7 +106,8 @@ void LhdCache::evict_one() {
   q_.erase(best_id, &victim);
   const int cls = class_of(victim.hits, victim.size);
   classes_[static_cast<std::size_t>(cls)]
-      .evictions[static_cast<std::size_t>(age_bin(victim.last_tick))] += 1.0;
+      .evictions[static_cast<std::size_t>(
+          age_bin(q_.removed_side().last_tick))] += 1.0;
 }
 
 bool LhdCache::access(const Request& req) {
@@ -117,16 +118,16 @@ bool LhdCache::access(const Request& req) {
   }
   if (LruQueue::Node* n = q_.find(req.id)) {
     const int cls = class_of(n->hits, n->size);
+    LruQueue::Side& s = q_.side(*n);
     classes_[static_cast<std::size_t>(cls)]
-        .hits[static_cast<std::size_t>(age_bin(n->last_tick))] += 1.0;
+        .hits[static_cast<std::size_t>(age_bin(s.last_tick))] += 1.0;
     ++n->hits;
-    n->last_tick = tick_;
+    s.last_tick = tick_;
     return true;
   }
   if (!fits(req.size)) return false;
   while (q_.used_bytes() + req.size > capacity_ && !q_.empty()) evict_one();
-  LruQueue::Node& n = q_.insert_mru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
+  q_.side(q_.insert_mru(req.id, req.size)).last_tick = tick_;
   return false;
 }
 

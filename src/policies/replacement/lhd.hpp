@@ -52,7 +52,7 @@ class LhdCache final : public Cache {
   void reconfigure();
   void evict_one();
 
-  LruQueue q_;
+  LruQueue q_{LruQueue::kWithSide};
   std::array<ClassStats, kClasses> classes_;
   Rng rng_;
   std::int64_t tick_ = 0;

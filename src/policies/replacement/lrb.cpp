@@ -154,7 +154,7 @@ void LrbCache::evict_one() {
       // Advisor-cold object: treated as beyond the Belady boundary; oldest
       // cold object wins the tie via its age.
       predicted = boundary_label() + 1.0 +
-                  std::log1p(static_cast<double>(tick_ - n.last_tick));
+                  std::log1p(static_cast<double>(tick_ - q_.side(n).last_tick));
     } else {
       auto it = state_.find(n.id);
       if (it == state_.end()) {
@@ -196,7 +196,7 @@ bool LrbCache::access(const Request& req) {
 
   if (LruQueue::Node* n = q_.find(req.id)) {
     ++n->hits;
-    n->last_tick = tick_;
+    q_.side(*n).last_tick = tick_;
     q_.touch_mru(req.id);
     if (advisor_) {
       const bool mru = advisor_->choose_mru_for_hit(req, n->hits);
@@ -216,7 +216,7 @@ bool LrbCache::access(const Request& req) {
     evict_one();  // reports the victim to the advisor internally
   }
   LruQueue::Node& n = q_.insert_mru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
+  q_.side(n).last_tick = tick_;
   if (advisor_) {
     const bool mru = advisor_->choose_mru_for_miss(req);
     n.flags = mru ? 0u : 1u;

@@ -105,7 +105,7 @@ class LrbCache final : public Cache {
 
   LrbParams params_;
   std::shared_ptr<InsertionAdvisor> advisor_;
-  LruQueue q_;  ///< node.flags bit0: advisor "cold" mark
+  LruQueue q_{LruQueue::kWithSide};  ///< node.flags bit0: advisor "cold" mark
   std::unordered_map<std::uint64_t, ObjState> state_;
   std::deque<std::pair<std::int64_t, std::uint64_t>> seen_fifo_;
   std::unordered_map<std::uint64_t, Pending> pending_;

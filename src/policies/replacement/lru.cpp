@@ -7,17 +7,14 @@ bool LruCache::access(const Request& req) {
 }
 
 bool LruCache::access_hashed(const Request& req, std::uint64_t h) {
-  ++tick_;
   if (LruQueue::Node* node = q_.find_hashed(req.id, h)) {
     ++node->hits;
-    node->last_tick = tick_;
     q_.touch_mru(*node);
     return true;
   }
   if (!fits(req.size)) return false;
   make_room(req.size);
-  LruQueue::Node& node = q_.insert_mru_hashed(req.id, req.size, h);
-  node.insert_tick = node.last_tick = tick_;
+  q_.insert_mru_hashed(req.id, req.size, h);
   return false;
 }
 

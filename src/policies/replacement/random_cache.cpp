@@ -3,7 +3,6 @@
 namespace cdn {
 
 bool RandomCache::access(const Request& req) {
-  ++tick_;
   const std::uint64_t h = hash64(req.id);
   if (LruQueue::Node* node = q_.find_hashed(req.id, h)) {
     // No promotion: RANDOM keeps no recency order, so a hit only updates
@@ -11,13 +10,11 @@ bool RandomCache::access(const Request& req) {
     // assumes exactly this — the resident set evolves only through
     // insertions and uniform evictions.
     ++node->hits;
-    node->last_tick = tick_;
     return true;
   }
   if (!fits(req.size)) return false;
   make_room_random(req.size);
-  LruQueue::Node& node = q_.insert_mru_hashed(req.id, req.size, h);
-  node.insert_tick = node.last_tick = tick_;
+  q_.insert_mru_hashed(req.id, req.size, h);
   return false;
 }
 

@@ -13,7 +13,8 @@ namespace cdn {
 class RandomCache final : public QueueCache {
  public:
   explicit RandomCache(std::uint64_t capacity_bytes, std::uint64_t seed = 1)
-      : QueueCache(capacity_bytes), rng_(hash64(seed ^ 0x4a4d0ULL)) {}
+      : QueueCache(capacity_bytes, LruQueue::kWithSide),
+        rng_(hash64(seed ^ 0x4a4d0ULL)) {}
 
   [[nodiscard]] std::string name() const override { return "RANDOM"; }
 

@@ -38,17 +38,14 @@ bool S4LruCache::access(const Request& req) {
 }
 
 bool S4LruCache::access_hashed(const Request& req, std::uint64_t h) {
-  ++tick_;
   if (Segments::Node* n = seg_.find_hashed(req.id, h)) {
     ++n->hits;
-    n->last_tick = tick_;
     seg_.relink_mru(*n, std::min(n->list() + 1, kLevels - 1));
     rebalance();
     return true;
   }
   if (!fits(req.size)) return false;
-  Segments::Node& n = seg_.insert_mru(0, req.id, req.size, h);
-  n.insert_tick = n.last_tick = tick_;
+  seg_.insert_mru(0, req.id, req.size, h);
   rebalance();
   return false;
 }

@@ -73,7 +73,6 @@ class S4LruCache final : public Cache, public obs::Introspectable {
 
   Segments seg_;
   std::array<std::uint64_t, kLevels> seg_cap_{};
-  std::int64_t tick_ = 0;
 };
 
 }  // namespace cdn

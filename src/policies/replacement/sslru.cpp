@@ -17,7 +17,8 @@ SsLruCache::Features SsLruCache::features_of(const Request& req,
                                              const LruQueue::Node& n) const {
   Features x;
   x.f[0] = std::log2(static_cast<float>(req.size) + 1.0f);
-  x.f[1] = std::log2(static_cast<float>(tick_ - n.last_tick) + 1.0f);
+  x.f[1] = std::log2(
+      static_cast<float>(tick_ - probation_.side(n).last_tick) + 1.0f);
   x.f[2] = std::log2(static_cast<float>(n.hits) + 1.0f);
   return x;
 }
@@ -51,8 +52,7 @@ void SsLruCache::enforce_caps() {
       pending_.erase(it);
     }
     LruQueue::Node& moved = probation_.insert_mru(n.id, n.size);
-    moved.insert_tick = n.insert_tick;
-    moved.last_tick = n.last_tick;
+    probation_.side(moved).last_tick = protected_.removed_side().last_tick;
     moved.hits = n.hits;
   }
   while (used_bytes() > capacity_ && !probation_.empty()) {
@@ -78,20 +78,19 @@ bool SsLruCache::access(const Request& req) {
       pending_.erase(it);
     }
     ++n->hits;
-    n->last_tick = tick_;
+    protected_.side(*n).last_tick = tick_;
     protected_.touch_mru(req.id);
     return true;
   }
   if (LruQueue::Node* n = probation_.find(req.id)) {
     const Features x = features_of(req, *n);
     ++n->hits;
-    n->last_tick = tick_;
+    probation_.side(*n).last_tick = tick_;
     if (predict_promote(x)) {
       LruQueue::Node moved{};
       probation_.erase(req.id, &moved);
       LruQueue::Node& pn = protected_.insert_mru(req.id, moved.size);
-      pn.insert_tick = moved.insert_tick;
-      pn.last_tick = tick_;
+      protected_.side(pn).last_tick = tick_;
       pn.hits = moved.hits;
       pending_[req.id] = x;
       enforce_caps();
@@ -101,8 +100,7 @@ bool SsLruCache::access(const Request& req) {
     return true;
   }
   if (!fits(req.size)) return false;
-  LruQueue::Node& n = probation_.insert_mru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
+  probation_.side(probation_.insert_mru(req.id, req.size)).last_tick = tick_;
   enforce_caps();
   return false;
 }

@@ -39,14 +39,17 @@ class SsLruCache final : public Cache {
   struct Features {
     float f[3];
   };
+  /// Promotion features of probation node `n`.
   [[nodiscard]] Features features_of(const Request& req,
                                      const LruQueue::Node& n) const;
   [[nodiscard]] bool predict_promote(const Features& x) const;
   void learn(const Features& x, bool label);
   void enforce_caps();
 
-  LruQueue probation_;
-  LruQueue protected_;
+  // Both queues keep ages: a probation node's age is a promotion feature,
+  // and a protected node carries its age back when demoted.
+  LruQueue probation_{LruQueue::kWithSide};
+  LruQueue protected_{LruQueue::kWithSide};
   std::uint64_t protected_cap_;
   // Pending promotion outcomes: features recorded at promotion time,
   // resolved when the object is hit again (1) or evicted from protected (0).

@@ -32,6 +32,9 @@ class AuditedQueue {
   /// shadow monitor does) pass theirs; kNoCapacity audits structure only.
   explicit AuditedQueue(std::uint64_t capacity_bytes = kNoCapacity)
       : capacity_(capacity_bytes) {}
+  /// Wraps a queue built with the side array, which sample() requires.
+  AuditedQueue(std::uint64_t capacity_bytes, LruQueue::WithSide with_side)
+      : capacity_(capacity_bytes), q_(with_side) {}
 
   LruQueue::Node& insert_mru(std::uint64_t id, std::uint64_t size) {
     LruQueue::Node& n = q_.insert_mru(id, size);

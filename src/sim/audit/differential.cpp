@@ -36,7 +36,7 @@ std::vector<std::uint64_t> queue_ids_lru_to_mru(const LruQueue& q) {
 DiffResult run_queue_differential(const DiffConfig& cfg) {
   const std::uint64_t cap =
       cfg.capacity_bytes == 0 ? kNoCapacity : cfg.capacity_bytes;
-  AuditedQueue q(cap);
+  AuditedQueue q(cap, LruQueue::kWithSide);  // case 7 samples
   RefLruModel ref;
   Rng rng(cfg.seed);
 

@@ -82,14 +82,26 @@ AuditReport Inspector::check(const LruQueue& q, std::uint64_t capacity_bytes) {
     }
   }
 
-  // Population counts must agree across all three views of residency.
+  // Population counts must agree across every view of residency. Only a
+  // queue built with the side array keeps a dense index; any other queue
+  // must keep no side state at all.
   if (order.size() != q.index_.size()) {
     c.fail("list holds ", order.size(), " nodes but index_ holds ",
            q.index_.size());
   }
-  if (order.size() != q.dense_.size()) {
-    c.fail("list holds ", order.size(), " nodes but dense_ holds ",
-           q.dense_.size());
+  if (q.has_side_) {
+    if (order.size() != q.dense_.size()) {
+      c.fail("list holds ", order.size(), " nodes but dense_ holds ",
+             q.dense_.size());
+    }
+    if (q.side_.size() != slab.size()) {
+      c.fail("side_ holds ", q.side_.size(), " records but the slab has ",
+             slab.size(), " slots");
+      return report;  // per-slot side checks would read out of range
+    }
+  } else if (!q.dense_.empty() || !q.side_.empty()) {
+    c.fail("queue without the side array keeps ", q.dense_.size(),
+           " dense_ entries and ", q.side_.size(), " side_ records");
   }
 
   // Per-node: byte accounting, index mapping, dense back-pointers, id
@@ -108,11 +120,13 @@ AuditReport Inspector::check(const LruQueue& q, std::uint64_t capacity_bytes) {
     } else if (*mapped != i) {
       c.fail("index_[", n.id, "] = ", *mapped, ", expected slot ", i);
     }
-    if (n.dense_pos_ >= q.dense_.size()) {
-      c.fail("slot ", i, " dense_pos_ ", n.dense_pos_, " out of range");
-    } else if (q.dense_[n.dense_pos_] != i) {
-      c.fail("dense_[", n.dense_pos_, "] = ", q.dense_[n.dense_pos_],
-             ", expected slot ", i, " (sampling would return a wrong node)");
+    if (!q.has_side_) continue;
+    const std::uint32_t pos = q.side_[i].dense_pos_;
+    if (pos >= q.dense_.size()) {
+      c.fail("slot ", i, " dense_pos_ ", pos, " out of range");
+    } else if (q.dense_[pos] != i) {
+      c.fail("dense_[", pos, "] = ", q.dense_[pos], ", expected slot ", i,
+             " (sampling would return a wrong node)");
     }
   }
   if (sum_bytes != q.used_bytes_) {

@@ -47,10 +47,13 @@ class Inspector {
   /// Validates every structural invariant of an LruQueue:
   ///  - doubly-linked-list integrity: head reachable to tail via next,
   ///    prev mirrors next, terminal links null, no cycle;
-  ///  - list population == hash-index population == dense-vector population;
+  ///  - list population == hash-index population;
   ///  - `used_bytes()` equals the sum of resident node sizes;
   ///  - hash index maps each resident id to its slab slot, ids unique;
-  ///  - dense vector and `dense_pos_` back-pointers agree (sampling safety);
+  ///  - with the side array: one side record per slab slot, dense-vector
+  ///    population == list population, and the dense vector and
+  ///    `dense_pos_` back-pointers agree (sampling safety);
+  ///  - without it: no side records and no dense vector at all;
   ///  - slab slots partition exactly into {resident} ∪ {free list}, with
   ///    the free list duplicate-free, in-range, and disjoint from the list;
   ///  - `used_bytes() <= capacity_bytes` when a bound is given.

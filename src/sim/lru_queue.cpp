@@ -19,22 +19,34 @@ LruQueue::Node* LruQueue::find_hashed(std::uint64_t id, std::uint64_t h) {
 }
 
 std::uint32_t LruQueue::alloc_node() {
+  std::uint32_t idx;
   if (!free_list_.empty()) {
-    const std::uint32_t idx = free_list_.back();
+    idx = free_list_.back();
     free_list_.pop_back();
-    return idx;
+  } else {
+    idx = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+    if (has_side_) side_.emplace_back();
   }
-  slab_.emplace_back();
-  return static_cast<std::uint32_t>(slab_.size() - 1);
+  if (has_side_) {
+    Side& s = side_[idx];
+    s = Side{};  // reset for reuse
+    s.dense_pos_ = static_cast<std::uint32_t>(dense_.size());
+    dense_.push_back(idx);
+  }
+  return idx;
 }
 
 void LruQueue::free_node(std::uint32_t idx) {
-  // Swap-remove from the dense occupancy vector.
-  const std::uint32_t pos = slab_[idx].dense_pos_;
-  const std::uint32_t last = dense_.back();
-  dense_[pos] = last;
-  slab_[last].dense_pos_ = pos;
-  dense_.pop_back();
+  if (has_side_) {
+    // Swap-remove from the dense occupancy vector.
+    const std::uint32_t pos = side_[idx].dense_pos_;
+    const std::uint32_t last = dense_.back();
+    dense_[pos] = last;
+    side_[last].dense_pos_ = pos;
+    dense_.pop_back();
+    removed_side_ = side_[idx];
+  }
   slab_[idx] = Node{};  // reset for reuse
   free_list_.push_back(idx);
 }
@@ -99,8 +111,6 @@ LruQueue::Node& LruQueue::insert_mru_hashed(std::uint64_t id,
   n.id = id;
   n.size = size;
   n.insert_pos = 1;
-  n.dense_pos_ = static_cast<std::uint32_t>(dense_.size());
-  dense_.push_back(idx);
   index_.insert_hashed(id, idx, h);
   used_bytes_ += size;
   link_mru(idx);
@@ -116,8 +126,6 @@ LruQueue::Node& LruQueue::insert_lru_hashed(std::uint64_t id,
   n.id = id;
   n.size = size;
   n.insert_pos = 0;
-  n.dense_pos_ = static_cast<std::uint32_t>(dense_.size());
-  dense_.push_back(idx);
   index_.insert_hashed(id, idx, h);
   used_bytes_ += size;
   link_lru(idx);
@@ -134,21 +142,21 @@ void LruQueue::touch_mru(std::uint64_t id) {
 }
 
 void LruQueue::touch_mru(Node& n) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(&n - slab_.data());
+  const std::uint32_t idx = slot_of(n);
   if (head_ == idx) return;
   unlink(idx);
   link_mru(idx);
 }
 
 void LruQueue::demote_lru(Node& n) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(&n - slab_.data());
+  const std::uint32_t idx = slot_of(n);
   if (tail_ == idx) return;
   unlink(idx);
   link_lru(idx);
 }
 
 LruQueue::Node& LruQueue::reinsert_mru(Node& n) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(&n - slab_.data());
+  const std::uint32_t idx = slot_of(n);
   n.insert_pos = 1;  // before relink: link_* reads it for the tail shadow
   unlink(idx);
   link_mru(idx);
@@ -156,7 +164,7 @@ LruQueue::Node& LruQueue::reinsert_mru(Node& n) {
 }
 
 LruQueue::Node& LruQueue::reinsert_lru(Node& n) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(&n - slab_.data());
+  const std::uint32_t idx = slot_of(n);
   n.insert_pos = 0;  // before relink: link_* reads it for the tail shadow
   unlink(idx);
   link_lru(idx);
@@ -201,10 +209,10 @@ LruQueue::Node LruQueue::pop_lru(std::uint64_t* victim_hash_out) {
   assert(tail_ != kNull);
   const std::uint32_t idx = tail_;
 #if defined(__GNUC__) || defined(__clang__)
-  // free_node's swap-remove writes through slab_[dense_.back()] — a random
+  // free_node's swap-remove writes through side_[dense_.back()] — a random
   // slot, cold almost every eviction. Its address is known before the
   // victim read / hash / index erase chain; start the fetch under them.
-  __builtin_prefetch(&slab_[dense_.back()], 1);
+  if (has_side_) __builtin_prefetch(&side_[dense_.back()], 1);
 #endif
   Node copy = slab_[idx];
   const std::uint64_t h = hash64(copy.id);
@@ -234,9 +242,12 @@ bool LruQueue::erase_hashed(std::uint64_t id, std::uint64_t h, Node* out) {
 
 void LruQueue::reserve(std::size_t n) {
   slab_.reserve(n);
-  dense_.reserve(n);
   free_list_.reserve(n);
   index_.reserve(n);
+  if (has_side_) {
+    side_.reserve(n);
+    dense_.reserve(n);
+  }
 }
 
 std::uint64_t LruQueue::mru_id() const {
@@ -245,7 +256,7 @@ std::uint64_t LruQueue::mru_id() const {
 }
 
 LruQueue::Node& LruQueue::sample(Rng& rng) {
-  assert(!dense_.empty());
+  assert(has_side_ && !dense_.empty());
   return slab_[dense_[rng.below(dense_.size())]];
 }
 
@@ -256,18 +267,20 @@ void LruQueue::for_each_from_lru(
   }
 }
 
-// detlint:allow(accounting, slab_/dense_/index_ are the sizeof-derived kPerEntry term; free-listed slots hold no live metadata)
+// detlint:allow(accounting, slab_/index_ are the sizeof-derived kPerEntry term and side_/dense_ the kSidePerEntry term; free-listed slots hold no live metadata)
 std::uint64_t LruQueue::metadata_bytes() const noexcept {
-  // Slab node + dense slot + flat-index share. The index share is three
-  // inline slots: the open-addressing table runs between 1/4 and 1/2
-  // occupancy (max load 1/2 with power-of-two doubling), so 3x amortizes
-  // the slack at its midpoint.
+  // Slab node + flat-index share, plus side record + dense slot when the
+  // side array is on. The index share is three inline slots: the
+  // open-addressing table runs between 1/4 and 1/2 occupancy (max load 1/2
+  // with power-of-two doubling), so 3x amortizes the slack at its midpoint.
   // Count live entries only: free-listed slab slots hold no object metadata,
   // and counting them overstated the footprint after churn (the slab is a
   // high-water mark, the index is the live population).
   constexpr std::uint64_t kPerEntry =
-      sizeof(Node) + 4 + 3 * FlatMap<std::uint64_t, std::uint32_t>::kSlotBytes;
-  return static_cast<std::uint64_t>(index_.size()) * kPerEntry;
+      sizeof(Node) + 3 * FlatMap<std::uint64_t, std::uint32_t>::kSlotBytes;
+  constexpr std::uint64_t kSidePerEntry = sizeof(Side) + sizeof(std::uint32_t);
+  return static_cast<std::uint64_t>(index_.size()) *
+         (kPerEntry + (has_side_ ? kSidePerEntry : 0));
 }
 
 }  // namespace cdn

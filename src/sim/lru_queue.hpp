@@ -9,12 +9,16 @@
 //   move one step toward MRU               (PIPP promotion)
 //   pop from the LRU end                   (LRU victim selection)
 //   erase by id                            (SCIP's REMOVE on promotion)
-// A dense occupancy vector additionally supports O(1) uniform random
-// sampling of resident objects (used by LHD's and LRB's sampled eviction).
 //
-// Nodes carry the per-object metadata the policies need (hit count,
-// insertion position mark, timestamps, one policy-defined scalar), mirroring
-// the ~110-byte inode metadata TDC keeps in memory (§5.1).
+// A node is 32 bytes: id, size, hit count, insertion mark, policy flags and
+// the two list links — the per-object state every queue policy reads. The
+// state only a few baselines read lives in an opt-in side array indexed by
+// slab slot (see Side and LruQueue(WithSide)): the last-access tick, one
+// policy-defined scalar, and the dense occupancy vector behind O(1) uniform
+// random sampling (RANDOM's, LHD's and LRB's sampled eviction). A queue
+// built without it writes no ages and pays no dense swap on eviction, and
+// the compact node keeps twice as many residents per cache line as the
+// 64-byte node that carried everything.
 #pragma once
 
 #include <algorithm>
@@ -40,21 +44,52 @@ class LruQueue {
   struct Node {
     std::uint64_t id = 0;
     std::uint64_t size = 0;
-    std::int64_t insert_tick = 0;  ///< logical time of cache entry
-    std::int64_t last_tick = 0;    ///< logical time of last access
-    std::uint32_t hits = 0;        ///< hits during the current residency
-    std::uint8_t insert_pos = 1;   ///< 1 = inserted at MRU, 0 = at LRU
-    std::uint8_t flags = 0;        ///< policy-defined bits
-    std::uint64_t aux = 0;         ///< policy-defined scalar
+    std::uint32_t hits = 0;       ///< hits during the current residency
+    std::uint8_t insert_pos = 1;  ///< 1 = inserted at MRU, 0 = at LRU
+    std::uint8_t flags = 0;       ///< policy-defined bits
    private:
     std::uint32_t prev_ = kNull;
     std::uint32_t next_ = kNull;
-    std::uint32_t dense_pos_ = kNull;
     friend class LruQueue;
     friend class audit::Inspector;
   };
 
+  /// Per-slot state outside the node, kept only by a queue built with
+  /// kWithSide. Relinks and reinserts preserve it like the node's fields.
+  struct Side {
+    std::int64_t last_tick = 0;  ///< logical time of last access
+    std::uint64_t aux = 0;       ///< policy-defined scalar
+   private:
+    std::uint32_t dense_pos_ = kNull;  ///< this slot's index in dense_
+    friend class LruQueue;
+    friend class audit::Inspector;
+  };
+
+  /// Construction-time opt-in for the side array. Only the policies that
+  /// read ages or `aux`, or call sample(), pass it.
+  struct WithSide {};
+  static constexpr WithSide kWithSide{};
+
   LruQueue() = default;
+  explicit LruQueue(WithSide) noexcept : has_side_(true) {}
+
+  [[nodiscard]] bool has_side() const noexcept { return has_side_; }
+  /// Side record of a live node. Requires has_side(); same lifetime as `n`.
+  [[nodiscard]] Side& side(const Node& n) noexcept {
+    assert(has_side_);
+    return side_[slot_of(n)];
+  }
+  [[nodiscard]] const Side& side(const Node& n) const noexcept {
+    assert(has_side_);
+    return side_[slot_of(n)];
+  }
+  /// Side record of the node most recently removed by pop_lru() or erase(),
+  /// so a victim's ages stay readable after its slot is freed. Requires
+  /// has_side(); overwritten by the next removal.
+  [[nodiscard]] const Side& removed_side() const noexcept {
+    assert(has_side_);
+    return removed_side_;
+  }
 
   [[nodiscard]] bool contains(std::uint64_t id) const {
     return index_.contains(id);
@@ -97,9 +132,9 @@ class LruQueue {
   /// slot, same index entry, `insert_pos` updated — equivalent to the
   /// erase() + insert_*() + field-restore sequence SCIP's PROMOTE once paid
   /// (two index probes and a backward-shift delete), minus all of it. Every
-  /// per-object field other than `insert_pos` is preserved; callers that
-  /// relied on erase+insert zeroing `hits`/ticks must now set them
-  /// explicitly (AdvisedLruCache does).
+  /// per-object field other than `insert_pos` is preserved, the side record
+  /// included; callers that relied on erase+insert zeroing `hits` must now
+  /// set it explicitly (AdvisedLruCache does).
   CDN_HOT Node& reinsert_mru(Node& n);
   CDN_HOT Node& reinsert_lru(Node& n);
 
@@ -114,7 +149,7 @@ class LruQueue {
   CDN_HOT bool erase_hashed(std::uint64_t id, std::uint64_t h,
                             Node* out = nullptr);
 
-  /// Pre-sizes the slab, dense vector and hash index for `n` resident
+  /// Pre-sizes the slab, side array and hash index for `n` resident
   /// objects so the warm-up phase does not pay reallocation/rehash stalls;
   /// the steady-state request path allocates nothing either way (slab free
   /// list + constant-occupancy index). Layout-only: never changes behavior.
@@ -155,20 +190,22 @@ class LruQueue {
 #endif
   }
 
-  [[nodiscard]] std::size_t count() const noexcept { return dense_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return dense_.empty(); }
+  [[nodiscard]] std::size_t count() const noexcept { return index_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return index_.empty(); }
   [[nodiscard]] std::uint64_t used_bytes() const noexcept {
     return used_bytes_;
   }
 
-  /// Uniformly random resident node. Queue must be non-empty.
+  /// Uniformly random resident node. Requires has_side(); queue must be
+  /// non-empty.
   [[nodiscard]] Node& sample(Rng& rng);
 
   /// Visits nodes from the LRU end toward MRU until fn returns false.
   void for_each_from_lru(const std::function<bool(const Node&)>& fn) const;
 
   /// Approximate in-memory metadata footprint (bytes) for the resource
-  /// experiments: slab nodes + hash index overhead, counted per live entry.
+  /// experiments: slab nodes + hash index overhead, plus the side record and
+  /// dense slot of a queue built with kWithSide, counted per live entry.
   [[nodiscard]] std::uint64_t metadata_bytes() const noexcept;
 
   /// Test-only fault injection: skews the byte accounting without touching
@@ -182,6 +219,9 @@ class LruQueue {
  private:
   friend class audit::Inspector;
 
+  [[nodiscard]] std::uint32_t slot_of(const Node& n) const noexcept {
+    return static_cast<std::uint32_t>(&n - slab_.data());
+  }
   std::uint32_t alloc_node();
   void free_node(std::uint32_t idx);
   void link_mru(std::uint32_t idx);
@@ -190,8 +230,13 @@ class LruQueue {
 
   std::vector<Node> slab_;
   std::vector<std::uint32_t> free_list_;
-  std::vector<std::uint32_t> dense_;  ///< occupied slab slots, for sampling
   FlatMap<std::uint64_t, std::uint32_t> index_;
+  // Side array, empty unless has_side_: one record per slab slot, and the
+  // occupied slots in dense order for sample().
+  bool has_side_ = false;
+  std::vector<Side> side_;
+  std::vector<std::uint32_t> dense_;
+  Side removed_side_;
   std::uint32_t head_ = kNull;  ///< MRU end
   std::uint32_t tail_ = kNull;  ///< LRU end
   std::uint64_t used_bytes_ = 0;

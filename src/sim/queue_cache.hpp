@@ -13,6 +13,10 @@ class QueueCache : public Cache {
  public:
   explicit QueueCache(std::uint64_t capacity_bytes)
       : Cache(capacity_bytes) {}
+  /// For policies that read ages or sample victims: the queue keeps the
+  /// side array (see LruQueue::Side).
+  QueueCache(std::uint64_t capacity_bytes, LruQueue::WithSide with_side)
+      : Cache(capacity_bytes), q_(with_side) {}
 
   [[nodiscard]] bool contains(std::uint64_t id) const override {
     return q_.contains(id);
@@ -72,7 +76,6 @@ class QueueCache : public Cache {
   }
 
   LruQueue q_;
-  std::int64_t tick_ = 0;  ///< logical time: one tick per access()
 };
 
 }  // namespace cdn

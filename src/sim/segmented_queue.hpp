@@ -18,8 +18,9 @@
 //
 // Each list keeps its own head, tail, byte count and object count, so a
 // host enforces per-segment byte budgets in O(1). Nodes carry the
-// per-object metadata the hosts keep (hit count, insertion mark, ticks);
-// relinks preserve every field, so a demoted object keeps its statistics.
+// per-object metadata the hosts read (hit count, insertion mark) in 32
+// bytes — no access ticks, which neither host reads; relinks preserve every
+// field, so a demoted object keeps its statistics.
 #pragma once
 
 #include <array>
@@ -44,10 +45,8 @@ class SegmentedQueue {
   struct Node {
     std::uint64_t id = 0;
     std::uint64_t size = 0;
-    std::int64_t insert_tick = 0;  ///< logical time of cache entry
-    std::int64_t last_tick = 0;    ///< logical time of last access
-    std::uint32_t hits = 0;        ///< hits during the current residency
-    std::uint8_t insert_pos = 1;   ///< 1 = inserted at an MRU end, 0 = LRU
+    std::uint32_t hits = 0;       ///< hits during the current residency
+    std::uint8_t insert_pos = 1;  ///< 1 = inserted at an MRU end, 0 = LRU
 
     /// The list this node is linked into.
     [[nodiscard]] std::size_t list() const noexcept { return list_; }

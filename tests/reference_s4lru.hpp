@@ -29,7 +29,6 @@ class FourQueueS4Lru final : public Cache, public obs::Introspectable {
   [[nodiscard]] std::string name() const override { return "S4LRU"; }
 
   bool access(const Request& req) override {
-    ++tick_;
     auto it = level_.find(req.id);
     if (it != level_.end()) {
       const int cur = it->second;
@@ -38,16 +37,13 @@ class FourQueueS4Lru final : public Cache, public obs::Introspectable {
       seg_[static_cast<std::size_t>(cur)].erase(req.id, &moved);
       LruQueue::Node& n =
           seg_[static_cast<std::size_t>(dst)].insert_mru(req.id, moved.size);
-      n.insert_tick = moved.insert_tick;
-      n.last_tick = tick_;
       n.hits = moved.hits + 1;
       it->second = static_cast<std::uint8_t>(dst);
       rebalance();
       return true;
     }
     if (!fits(req.size)) return false;
-    LruQueue::Node& n = seg_[0].insert_mru(req.id, req.size);
-    n.insert_tick = n.last_tick = tick_;
+    seg_[0].insert_mru(req.id, req.size);
     level_[req.id] = 0;
     rebalance();
     return false;
@@ -121,8 +117,6 @@ class FourQueueS4Lru final : public Cache, public obs::Introspectable {
         LruQueue::Node n = s.pop_lru();
         auto& lower = seg_[static_cast<std::size_t>(i - 1)];
         LruQueue::Node& moved = lower.insert_mru(n.id, n.size);
-        moved.insert_tick = n.insert_tick;
-        moved.last_tick = n.last_tick;
         moved.hits = n.hits;
         level_[n.id] = static_cast<std::uint8_t>(i - 1);
       }
@@ -147,7 +141,6 @@ class FourQueueS4Lru final : public Cache, public obs::Introspectable {
   std::array<LruQueue, kLevels> seg_;
   std::array<std::uint64_t, kLevels> seg_cap_{};
   std::unordered_map<std::uint64_t, std::uint8_t> level_;
-  std::int64_t tick_ = 0;
 };
 
 }  // namespace cdn::testref

@@ -32,21 +32,27 @@ TEST(QueueAudit, FreshQueuePasses) {
 }
 
 TEST(QueueAudit, PopulatedQueuePasses) {
-  LruQueue q;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    if (i % 2 == 0) {
-      q.insert_mru(i, 1 + i % 7);
-    } else {
-      q.insert_lru(i, 1 + i % 7);
+  // Both layouts: the audit checks the dense index of a queue with the side
+  // array, and that a compact queue keeps no side state at all.
+  for (const bool with_side : {false, true}) {
+    LruQueue q = with_side ? LruQueue(LruQueue::kWithSide) : LruQueue();
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      if (i % 2 == 0) {
+        q.insert_mru(i, 1 + i % 7);
+      } else {
+        q.insert_lru(i, 1 + i % 7);
+      }
     }
+    q.touch_mru(42);
+    q.move_up_one(17);
+    q.demote_lru(8);
+    q.erase(3);
+    (void)q.pop_lru();
+    q.insert_mru(1000, 5);  // reuses a freed slot
+    const AuditReport r = Inspector::check(q);
+    EXPECT_TRUE(r.ok()) << (with_side ? "side: " : "compact: ")
+                        << r.to_string();
   }
-  q.touch_mru(42);
-  q.move_up_one(17);
-  q.demote_lru(8);
-  q.erase(3);
-  (void)q.pop_lru();
-  const AuditReport r = Inspector::check(q);
-  EXPECT_TRUE(r.ok()) << r.to_string();
 }
 
 TEST(QueueAudit, DetectsByteAccountingCorruption) {

@@ -16,6 +16,11 @@
 namespace cdn {
 namespace {
 
+// The hot node is half a cache line: every queue policy's relink, find and
+// eviction touches these 32 bytes and nothing else.
+static_assert(sizeof(LruQueue::Node) == 32);
+static_assert(sizeof(SegmentedQueue<4>::Node) == 32);
+
 TEST(LruQueue, InsertAndFind) {
   LruQueue q;
   q.insert_mru(1, 100);
@@ -128,7 +133,7 @@ TEST(LruQueue, SlabReuseAfterErase) {
 }
 
 TEST(LruQueue, SampleReturnsResidentObjects) {
-  LruQueue q;
+  LruQueue q(LruQueue::kWithSide);
   Rng rng(5);
   for (std::uint64_t i = 0; i < 50; ++i) q.insert_mru(i, 1);
   std::set<std::uint64_t> seen;
@@ -236,31 +241,97 @@ TEST(LruQueue, TailShadowTracksVictimAndInsertPos) {
 
 TEST(LruQueue, ReinsertMatchesEraseInsertRestore) {
   // reinsert_mru/_lru replace SCIP's historical erase + insert + restore
-  // sequence; the visible order and fields must match it exactly.
-  LruQueue a, b;
+  // sequence; the visible order and fields must match it exactly. Hot
+  // fields ride in the node; on a queue with the side array, `last_tick`
+  // and `aux` ride in its side record and must carry the same way.
+  for (const bool with_side : {false, true}) {
+    SCOPED_TRACE(with_side ? "side array" : "compact");
+    LruQueue a = with_side ? LruQueue(LruQueue::kWithSide) : LruQueue();
+    LruQueue b = with_side ? LruQueue(LruQueue::kWithSide) : LruQueue();
+    for (std::uint64_t id = 1; id <= 4; ++id) {
+      a.insert_mru(id, 10);
+      b.insert_mru(id, 10);
+    }
+    LruQueue::Node* n = a.find(2);
+    ASSERT_NE(n, nullptr);
+    n->hits = 5;
+    n->flags = 3;
+    LruQueue::Node& promoted = a.reinsert_mru(*n);  // in-place PROMOTE
+    if (with_side) {
+      a.side(promoted).last_tick = 7;
+      a.side(promoted).aux = 99;
+    }
+    LruQueue::Node out{};
+    ASSERT_TRUE(b.erase(2, &out));
+    LruQueue::Node& fresh = b.insert_mru(2, 10);
+    fresh.hits = 5;  // field restore the old sequence had to do by hand
+    fresh.flags = 3;
+    if (with_side) {
+      b.side(fresh).last_tick = 7;
+      b.side(fresh).aux = 99;
+    }
+    ASSERT_EQ(a.count(), b.count());
+    while (!a.empty()) {
+      const LruQueue::Node va = a.pop_lru();
+      const LruQueue::Node vb = b.pop_lru();
+      ASSERT_EQ(va.id, vb.id);
+      ASSERT_EQ(va.hits, vb.hits);
+      ASSERT_EQ(va.flags, vb.flags);
+      ASSERT_EQ(va.insert_pos, vb.insert_pos);
+      if (with_side) {
+        ASSERT_EQ(a.removed_side().last_tick, b.removed_side().last_tick);
+        ASSERT_EQ(a.removed_side().aux, b.removed_side().aux);
+      }
+    }
+  }
+}
+
+TEST(LruQueue, SideRecordFollowsItsNodeAndOutlivesRemoval) {
+  LruQueue q(LruQueue::kWithSide);
+  ASSERT_TRUE(q.has_side());
   for (std::uint64_t id = 1; id <= 4; ++id) {
-    a.insert_mru(id, 10);
-    b.insert_mru(id, 10);
+    LruQueue::Side& s = q.side(q.insert_mru(id, 10));
+    EXPECT_EQ(s.last_tick, 0);  // a new object starts with a clean record
+    EXPECT_EQ(s.aux, 0u);
+    s.last_tick = static_cast<std::int64_t>(10 * id);
+    s.aux = id;
   }
-  LruQueue::Node* n = a.find(2);
-  ASSERT_NE(n, nullptr);
-  n->hits = 5;
-  a.reinsert_mru(*n)  // in-place PROMOTE
-      .aux = 99;
-  LruQueue::Node out{};
-  ASSERT_TRUE(b.erase(2, &out));
-  LruQueue::Node& fresh = b.insert_mru(2, 10);
-  fresh.hits = 5;  // field restore the old sequence had to do by hand
-  fresh.aux = 99;
-  ASSERT_EQ(a.count(), b.count());
-  while (!a.empty()) {
-    const LruQueue::Node va = a.pop_lru();
-    const LruQueue::Node vb = b.pop_lru();
-    ASSERT_EQ(va.id, vb.id);
-    ASSERT_EQ(va.hits, vb.hits);
-    ASSERT_EQ(va.aux, vb.aux);
-    ASSERT_EQ(va.insert_pos, vb.insert_pos);
+  // Relinks move list links only: every record stays with its node.
+  q.touch_mru(1);
+  q.demote_lru(4);
+  q.move_up_one(2);
+  q.reinsert_lru(*q.find(3));
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    EXPECT_EQ(q.side(*q.find(id)).last_tick,
+              static_cast<std::int64_t>(10 * id));
+    EXPECT_EQ(q.side(*q.find(id)).aux, id);
   }
+  // A victim's record stays readable after its slot is freed.
+  const LruQueue::Node victim = q.pop_lru();
+  EXPECT_EQ(q.removed_side().aux, victim.id);
+  LruQueue::Node erased{};
+  ASSERT_TRUE(q.erase(2, &erased));
+  EXPECT_EQ(q.removed_side().last_tick, 20);
+  // Reusing the freed slot hands the new object a reset record.
+  LruQueue::Side& reused = q.side(q.insert_mru(9, 10));
+  EXPECT_EQ(reused.last_tick, 0);
+  EXPECT_EQ(reused.aux, 0u);
+}
+
+TEST(LruQueue, MetadataChargesTheSideArrayOnlyWhenOptedIn) {
+  constexpr std::uint64_t kIndex =
+      3 * FlatMap<std::uint64_t, std::uint32_t>::kSlotBytes;
+  LruQueue compact;
+  LruQueue sided(LruQueue::kWithSide);
+  EXPECT_FALSE(compact.has_side());
+  for (std::uint64_t id = 0; id < 10; ++id) {
+    compact.insert_mru(id, 1);
+    sided.insert_mru(id, 1);
+  }
+  EXPECT_EQ(compact.metadata_bytes(), 10 * (sizeof(LruQueue::Node) + kIndex));
+  EXPECT_EQ(sided.metadata_bytes(),
+            10 * (sizeof(LruQueue::Node) + kIndex + sizeof(LruQueue::Side) +
+                  sizeof(std::uint32_t)));
 }
 
 // Differential test: random operations against a std::list reference.
@@ -353,8 +424,6 @@ TEST(SegmentedQueue, RelinkMovesBetweenListsAndKeepsFields) {
   Seg3 q;
   Seg3::Node& a = q.insert_mru(0, 1, 100, hash64(1));
   a.hits = 7;
-  a.insert_tick = 3;
-  a.last_tick = 5;
   q.insert_lru(0, 2, 10, hash64(2));
   EXPECT_EQ(list_ids(q, 0), (std::vector<std::uint64_t>{2, 1}));
   EXPECT_EQ(q.bytes(0), 110u);
@@ -364,8 +433,6 @@ TEST(SegmentedQueue, RelinkMovesBetweenListsAndKeepsFields) {
   q.relink_mru(*n, 2);
   EXPECT_EQ(n->list(), 2u);
   EXPECT_EQ(n->hits, 7u);
-  EXPECT_EQ(n->insert_tick, 3);
-  EXPECT_EQ(n->last_tick, 5);
   EXPECT_EQ(n->insert_pos, 1);  // relinks never rewrite the insertion mark
   EXPECT_EQ(q.bytes(0), 10u);
   EXPECT_EQ(q.count(0), 1u);
@@ -396,7 +463,7 @@ TEST(SegmentedQueue, MetadataFollowsSizeofDerivation) {
       FlatMap<std::uint64_t, std::uint32_t>::kSlotBytes;
   EXPECT_EQ(q.metadata_bytes(), 10 * sizeof(Seg3::Node) +
                                     2 * sizeof(std::uint32_t) + 8 * 3 * kSlot);
-  EXPECT_EQ(sizeof(Seg3::Node), 48u);
+  EXPECT_EQ(sizeof(Seg3::Node), 32u);
 }
 
 TEST(SegmentedQueue, RandomOpsMatchListModel) {

@@ -89,16 +89,15 @@ TEST(S4Lru, InvariantsUnderWorkload) {
 // per-segment metrics and every resident's carried fields.
 
 /// One resident as both models see it: (segment, id, size, hits,
-/// insert_tick, last_tick), segments walked 0..3 from the LRU end.
+/// insert_pos), segments walked 0..3 from the LRU end.
 using Resident = std::tuple<std::size_t, std::uint64_t, std::uint64_t,
-                            std::uint32_t, std::int64_t, std::int64_t>;
+                            std::uint32_t, std::uint8_t>;
 
 std::vector<Resident> residents_of(const S4LruCache& c) {
   std::vector<Resident> out;
   for (std::size_t k = 0; k < S4LruCache::kLevels; ++k) {
     c.audit_segments().for_each_from_lru(k, [&](const auto& n) {
-      out.emplace_back(n.list(), n.id, n.size, n.hits, n.insert_tick,
-                       n.last_tick);
+      out.emplace_back(n.list(), n.id, n.size, n.hits, n.insert_pos);
       return true;
     });
   }
@@ -109,7 +108,7 @@ std::vector<Resident> residents_of(const testref::FourQueueS4Lru& c) {
   std::vector<Resident> out;
   for (std::size_t k = 0; k < S4LruCache::kLevels; ++k) {
     c.audit_segment(k).for_each_from_lru([&](const LruQueue::Node& n) {
-      out.emplace_back(k, n.id, n.size, n.hits, n.insert_tick, n.last_tick);
+      out.emplace_back(k, n.id, n.size, n.hits, n.insert_pos);
       return true;
     });
   }
