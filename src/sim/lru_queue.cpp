@@ -214,12 +214,24 @@ LruQueue::Node LruQueue::pop_lru(std::uint64_t* victim_hash_out) {
   // victim read / hash / index erase chain; start the fetch under them.
   if (has_side_) __builtin_prefetch(&side_[dense_.back()], 1);
 #endif
+  // The victim's id comes from the tail shadow, so its hash and index
+  // erase do not wait on the read of the tail node.
+  const std::uint64_t h = hash64(tail_id_);
+  index_.erase_hashed(tail_id_, h);
   Node copy = slab_[idx];
-  const std::uint64_t h = hash64(copy.id);
   unlink(idx);
-  index_.erase_hashed(copy.id, h);
   used_bytes_ -= copy.size;
   free_node(idx);
+  // Next-victim lookahead: the new tail's line is hot (unlink just wrote
+  // it); start fetching its index home and its predecessor now, so the
+  // next eviction's index erase and unlink find them cached.
+  if (tail_ != kNull) {
+    index_.prefetch_hashed(hash64(tail_id_));
+#if defined(__GNUC__) || defined(__clang__)
+    const std::uint32_t prev = slab_[tail_].prev_;
+    if (prev != kNull) __builtin_prefetch(&slab_[prev], 1);
+#endif
+  }
   *victim_hash_out = h;
   return copy;
 }

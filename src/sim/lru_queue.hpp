@@ -71,7 +71,7 @@ class LruQueue {
   static constexpr WithSide kWithSide{};
 
   LruQueue() = default;
-  explicit LruQueue(WithSide) noexcept : has_side_(true) {}
+  explicit LruQueue(WithSide) : has_side_(true) {}
 
   [[nodiscard]] bool has_side() const noexcept { return has_side_; }
   /// Side record of a live node. Requires has_side(); same lifetime as `n`.
@@ -231,12 +231,6 @@ class LruQueue {
   std::vector<Node> slab_;
   std::vector<std::uint32_t> free_list_;
   FlatMap<std::uint64_t, std::uint32_t> index_;
-  // Side array, empty unless has_side_: one record per slab slot, and the
-  // occupied slots in dense order for sample().
-  bool has_side_ = false;
-  std::vector<Side> side_;
-  std::vector<std::uint32_t> dense_;
-  Side removed_side_;
   std::uint32_t head_ = kNull;  ///< MRU end
   std::uint32_t tail_ = kNull;  ///< LRU end
   std::uint64_t used_bytes_ = 0;
@@ -247,6 +241,12 @@ class LruQueue {
   /// without a dependent read of the cold tail node.
   std::uint64_t tail_id_ = 0;
   std::uint8_t tail_pos_ = 1;
+  // Side array, empty unless has_side_: one record per slab slot, and the
+  // occupied slots in dense order for sample(). Kept behind the hot fields.
+  bool has_side_ = false;
+  std::vector<Side> side_;
+  std::vector<std::uint32_t> dense_;
+  Side removed_side_;
 };
 
 /// Pre-reserve hint for a slab/index sized in bytes: assumes ~4 KiB objects
