@@ -16,9 +16,7 @@
 // slab slot (see Side and LruQueue(WithSide)): the last-access tick, one
 // policy-defined scalar, and the dense occupancy vector behind O(1) uniform
 // random sampling (RANDOM's, LHD's and LRB's sampled eviction). A queue
-// built without it writes no ages and pays no dense swap on eviction, and
-// the compact node keeps twice as many residents per cache line as the
-// 64-byte node that carried everything.
+// built without it writes no ages and pays no dense swap on eviction.
 #pragma once
 
 #include <algorithm>
